@@ -17,6 +17,12 @@ from .series import USeries
 
 FORMATS = ("csv", "json", "text")
 
+# Order caps sized from measured cost: the slowest series at the cap is
+# family_a with j = order - 1 (about 2 s at order 100); the slowest verify at
+# its cap is j = order - 1 (about 1.5 s at order 80, two levels).
+SERIES_ORDER_CAP = 100
+VERIFY_ORDER_CAP = 80
+
 
 def _pattern_arg(text: str) -> str:
     if not text or set(text) - {"0", "1"}:
@@ -141,6 +147,8 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.order > SERIES_ORDER_CAP:
+        raise ValueError(f"order must be at most {SERIES_ORDER_CAP}")
     maker = {
         "d": riordan.family_d,
         "h": riordan.family_h,
@@ -164,6 +172,8 @@ def cmd_rule(args) -> int:
         if args.j is None:
             raise ValueError("the avoid rule needs --j")
         spec = rules.avoid_rule(args.j)
+    elif args.j is not None:
+        raise ValueError("--j applies only to the avoid rule")
     else:
         spec = _RULES[args.name]()
     census = rules.expand(spec, args.levels)
@@ -217,6 +227,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.order > VERIFY_ORDER_CAP:
+        raise ValueError(f"order must be at most {VERIFY_ORDER_CAP}")
     results = verify.run_checks(args.j, args.levels, args.order)
     if _fmt(args) == "json":
         print(
@@ -316,7 +328,13 @@ _USAGE_ERRORS = (
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse fills an optional format positional early, empty, so a format
+    # given after the flags (`series a --j 2 csv`) arrives as a leftover
+    if len(extra) == 1 and extra[0] in FORMATS and getattr(args, "fmt", "") is None:
+        args.fmt = extra.pop()
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "table" and not 0 <= args.order <= 40:
         parser.error("order must be between 0 and 40")
     try:

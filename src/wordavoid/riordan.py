@@ -12,7 +12,6 @@ the triangle must satisfy.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .series import (
     BSeries,
@@ -77,7 +76,7 @@ def from_dh(d: USeries, h: USeries, order: int) -> RiordanTriangle:
         raise NotProper("need d(0) != 0, h(0) = 0, h'(0) != 0")
     if order > min(d.order, h.order):
         raise ValueError("series orders too small for the requested triangle")
-    rows = [[Fraction(0)] * (n + 1) for n in range(order + 1)]
+    rows = [[0] * (n + 1) for n in range(order + 1)]
     col = USeries(d.coeffs, order=order)
     h = USeries(h.coeffs, order=order)
     for k in range(order + 1):
@@ -85,7 +84,7 @@ def from_dh(d: USeries, h: USeries, order: int) -> RiordanTriangle:
             c = col.coeff(n)
             if c.denominator != 1:
                 raise NonIntegerCoefficient(f"entry ({n}, {k}) is {c}")
-            rows[n][k] = c.numerator
+            rows[n][k] = c
         col = col * h
     return RiordanTriangle(rows)
 
@@ -108,8 +107,8 @@ def triangles_from_table(table: BSeries) -> tuple[RiordanTriangle, RiordanTriang
             b = table.entry(n - k, n)
             if a.denominator != 1 or b.denominator != 1:
                 raise NonIntegerCoefficient(f"non-integer table entry at n={n}")
-            lo.append(a.numerator)
-            up.append(b.numerator)
+            lo.append(a)
+            up.append(b)
         lower.append(lo)
         upper.append(up)
     return RiordanTriangle(lower), RiordanTriangle(upper)
@@ -127,10 +126,8 @@ def _check_family(j: int, order: int) -> None:
 
 def _family_radicand(j: int, order: int) -> USeries:
     # 1 - 4t + 4t^(j+1)
-    coeffs = [Fraction(0)] * (j + 2)
-    coeffs[0] = Fraction(1)
-    coeffs[1] = Fraction(-4)
-    coeffs[j + 1] += Fraction(4)
+    coeffs = [1, -4] + [0] * j
+    coeffs[j + 1] += 4
     return USeries(coeffs, order=order)
 
 

@@ -1,15 +1,19 @@
 """Exact truncated formal power series in one and two variables.
 
-Coefficients are `fractions.Fraction` throughout; nothing here ever touches
-floating point.  A series carries an explicit truncation order and mixed-order
-arithmetic truncates to the smaller order, so a result never pretends to more
-precision than its inputs carry.  All algorithms are truncation-stable:
+Coefficients are exact rationals and never floating point: a coefficient is
+a plain `int` whenever it is integral and a `fractions.Fraction` only when it
+is not, so the integer series the package works with stay in `int`
+arithmetic.  Every division goes through one exact helper, `_div`.  A series
+carries an explicit truncation order and mixed-order arithmetic truncates to
+the smaller order, so a result never pretends to more precision than its
+inputs carry.  All algorithms are truncation-stable:
 recomputing at a higher order never changes the low-order coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Rational = int | Fraction
@@ -39,21 +43,33 @@ class NonIntegerCoefficient(SeriesError):
     """A series expected to be integer-valued has a fractional coefficient."""
 
 
-def _frac(value: Rational) -> Fraction:
+def _frac(value: Rational) -> Rational:
+    """The canonical form of an exact rational: an int when it is integral,
+    otherwise a Fraction."""
     # bool is an int subclass and floats are rejected outright: exactness is
     # a module invariant, not a best effort.
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _div(a: Rational, b: Rational) -> Rational:
+    """Exact a / b in canonical form; dividing by a unit stays in int."""
+    if b == 1:
+        return _frac(a)
+    if b == -1:
+        return _frac(-a)
+    return _frac(Fraction(a) / b)
 
 
 class USeries:
     """A univariate power series truncated at t^order.
 
-    Immutable.  `coeffs` always holds exactly order + 1 Fractions; short
-    coefficient lists are zero-padded on construction.
+    Immutable.  `coeffs` always holds exactly order + 1 coefficients in
+    canonical form (see `_frac`); short coefficient lists are zero-padded on
+    construction.
     """
 
     __slots__ = ("coeffs",)
@@ -67,18 +83,18 @@ class USeries:
         if order < 0:
             raise ValueError("order must be non-negative")
         del cs[order + 1 :]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        cs.extend([0] * (order + 1 - len(cs)))
+        self.coeffs: tuple[Rational, ...] = tuple(cs)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> Rational:
         """Coefficient of t^n; zero beyond the truncation order."""
         if n < 0:
             raise ValueError("negative exponent")
-        return self.coeffs[n] if n <= self.order else Fraction(0)
+        return self.coeffs[n] if n <= self.order else 0
 
     # -- ring operations ---------------------------------------------------
 
@@ -109,12 +125,11 @@ class USeries:
     def __mul__(self, other):
         if isinstance(other, USeries):
             n = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            out = [
-                sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
-                for k in range(n + 1)
-            ]
-            return USeries(out)
+            a, rb = self.coeffs, other.coeffs[n::-1]
+            # rb[n - k + i] is b[k - i]: one reversed slice per product
+            return USeries(
+                [sum(map(mul, a[: k + 1], rb[n - k :])) for k in range(n + 1)]
+            )
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
             return USeries([c * x for x in self.coeffs])
@@ -139,17 +154,18 @@ class USeries:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            return USeries([x / c for x in self.coeffs])
+            return USeries([_div(x, c) for x in self.coeffs])
         if not isinstance(other, USeries):
             return NotImplemented
         if other.coeffs[0] == 0:
             raise ZeroConstantTerm("division needs a unit constant term")
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        q: list[Fraction] = []
+        q: list[Rational] = []
         for k in range(n + 1):
-            acc = a[k] - sum((b[i] * q[k - i] for i in range(1, k + 1)), Fraction(0))
-            q.append(acc / b[0])
+            # b[i] * q[k - i] for i = 1..k
+            acc = a[k] - sum(map(mul, b[1 : k + 1], reversed(q)))
+            q.append(_div(acc, b[0]))
         return USeries(q)
 
     def __rtruediv__(self, other):
@@ -166,7 +182,7 @@ class USeries:
 
     def shift_up(self) -> "USeries":
         """Multiply by t.  The result is exact one order higher."""
-        return USeries((Fraction(0),) + self.coeffs)
+        return USeries((0,) + self.coeffs)
 
     def shift_down(self) -> "USeries":
         """Divide by t; requires a zero constant term.  Loses one order."""
@@ -182,12 +198,12 @@ class USeries:
         """The square root branch with constant term 1."""
         if self.coeffs[0] != 1:
             raise BadConstantTerm("square root needs constant term 1")
-        out = [Fraction(1)]
+        out: list[Rational] = [1]
         for n in range(1, self.order + 1):
-            acc = self.coeffs[n] - sum(
-                (out[i] * out[n - i] for i in range(1, n)), Fraction(0)
-            )
-            out.append(acc / 2)
+            # out[i] * out[n - i] for i = 1..n-1
+            inner = out[1:n]
+            acc = self.coeffs[n] - sum(map(mul, inner, reversed(inner)))
+            out.append(_div(acc, 2))
         return USeries(out)
 
     def compose(self, inner: "USeries") -> "USeries":
@@ -204,28 +220,29 @@ class USeries:
     def revert(self) -> "USeries":
         """Compositional inverse: the g with self(g(t)) = t mod t^(order+1).
 
-        Coefficients are pinned one at a time: with g known through t^(n-1),
-        the t^n coefficient of self(g) is off by exactly f'(0) * g_n.
+        Lagrange inversion: with phi(u) = u / self(u), the t^n coefficient of
+        g is (1/n) [u^(n-1)] phi^n.  One division and order - 1 truncated
+        products, so O(order^3) coefficient operations.
         """
         if self.order < 1 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
             raise NotRevertible("reversion needs f(0) = 0 and f'(0) != 0")
-        h1 = self.coeffs[1]
-        g = [Fraction(0), 1 / h1]
-        for n in range(2, self.order + 1):
-            err = self.truncate(n).compose(USeries(g, order=n)).coeffs[n]
-            g.append(-err / h1)
-        return USeries(g, order=self.order)
+        phi = 1 / self.shift_down()
+        power = phi
+        g: list[Rational] = [0]
+        for n in range(1, self.order + 1):
+            g.append(_div(power.coeffs[n - 1], n))
+            if n < self.order:
+                power = power * phi
+        return USeries(g)
 
     # -- export --------------------------------------------------------------
 
     def integer_coeffs(self) -> list[int]:
         """Coefficients as plain ints; a fractional one is a hard error."""
-        out = []
         for n, c in enumerate(self.coeffs):
             if c.denominator != 1:
                 raise NonIntegerCoefficient(f"coefficient of t^{n} is {c}")
-            out.append(c.numerator)
-        return out
+        return list(self.coeffs)
 
     def text(self) -> str:
         """Canonical rendering: every term, `c0 + c1*t + c2*t^2 + ...`."""
@@ -280,11 +297,8 @@ def solve_polynomial(
     a0 = _frac(a0)
     coeffs = [USeries(p, order=order) for p in poly]
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    value0 = sum((c.coeffs[0] * a0**i for i, c in enumerate(coeffs)), Fraction(0))
-    slope0 = sum(
-        (c.coeffs[0] * i * a0 ** (i - 1) for i, c in enumerate(coeffs) if i),
-        Fraction(0),
-    )
+    value0 = sum(c.coeffs[0] * a0**i for i, c in enumerate(coeffs))
+    slope0 = sum(c.coeffs[0] * i * a0 ** (i - 1) for i, c in enumerate(coeffs) if i)
     if value0 != 0 or slope0 == 0:
         raise SingularRoot("need P(a0, 0) = 0 with dP/dA(a0, 0) != 0")
     a = USeries([a0], order=order)
@@ -321,18 +335,18 @@ class BSeries:
         norm = []
         for row in rows:
             del row[order + 1 :]
-            row.extend([Fraction(0)] * (order + 1 - len(row)))
+            row.extend([0] * (order + 1 - len(row)))
             norm.append(tuple(row))
         while len(norm) < order + 1:
-            norm.append(tuple([Fraction(0)] * (order + 1)))
-        self.grid: tuple[tuple[Fraction, ...], ...] = tuple(norm)
+            norm.append((0,) * (order + 1))
+        self.grid: tuple[tuple[Rational, ...], ...] = tuple(norm)
 
     @classmethod
     def from_terms(
         cls, terms: Mapping[tuple[int, int], Rational], order: int
     ) -> "BSeries":
         """Build from {(x_power, y_power): coefficient}; off-grid terms drop."""
-        grid = [[Fraction(0)] * (order + 1) for _ in range(order + 1)]
+        grid = [[0] * (order + 1) for _ in range(order + 1)]
         for (n, k), c in terms.items():
             if 0 <= n <= order and 0 <= k <= order:
                 grid[n][k] = _frac(c)
@@ -342,11 +356,11 @@ class BSeries:
     def order(self) -> int:
         return len(self.grid) - 1
 
-    def entry(self, n: int, k: int) -> Fraction:
+    def entry(self, n: int, k: int) -> Rational:
         """Coefficient of x^n y^k; zero off the grid."""
         if 0 <= n <= self.order and 0 <= k <= self.order:
             return self.grid[n][k]
-        return Fraction(0)
+        return 0
 
     def __add__(self, other):
         if not isinstance(other, BSeries):
@@ -374,7 +388,7 @@ class BSeries:
         if not isinstance(other, BSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        out = [[0] * (n + 1) for _ in range(n + 1)]
         for i in range(n + 1):
             for j in range(n + 1):
                 c = self.grid[i][j]
@@ -396,7 +410,7 @@ class BSeries:
             raise ZeroConstantTerm("division needs a unit constant term")
         n = min(self.order, other.order)
         b00 = other.grid[0][0]
-        q = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        q = [[0] * (n + 1) for _ in range(n + 1)]
         for i in range(n + 1):
             for j in range(n + 1):
                 acc = self.grid[i][j]
@@ -407,20 +421,16 @@ class BSeries:
                         b = brow[r]
                         if b:
                             acc -= b * qrow[j - r]
-                q[i][j] = acc / b00
+                q[i][j] = _div(acc, b00)
         return BSeries(q)
 
     def integer_rows(self) -> list[list[int]]:
         """The grid as plain ints; a fractional entry is a hard error."""
-        out = []
         for n, row in enumerate(self.grid):
-            ints = []
             for k, c in enumerate(row):
                 if c.denominator != 1:
                     raise NonIntegerCoefficient(f"entry ({n}, {k}) is {c}")
-                ints.append(c.numerator)
-            out.append(ints)
-        return out
+        return [list(row) for row in self.grid]
 
     def __eq__(self, other):
         if not isinstance(other, BSeries):

@@ -1,17 +1,46 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from wordavoid.cli import main
+from wordavoid.cli import SERIES_ORDER_CAP, VERIFY_ORDER_CAP, main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def readme_commands():
+    """(argv, expected stdout or None) for each `wordavoid` line of the
+    README's command-line block; a `# -> ...` line pins the output above it."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        if line.startswith("wordavoid "):
+            out.append([shlex.split(line)[1:], None])
+        elif line.startswith("# -> "):
+            out[-1][1] = line[len("# -> "):] + "\n"
+    return out
+
+
+class TestReadme:
+    def test_every_command_runs(self, capsys):
+        commands = readme_commands()
+        assert ["series", "a", "--j", "2", "--order", "9", "csv"] in [
+            argv for argv, _ in commands
+        ]
+        for argv, expected in commands:
+            rc, out, err = run(capsys, *argv)
+            assert rc == 0, (argv, err)
+            if expected is not None:
+                assert out == expected, argv
 
 
 class TestGoldenOutputs:
@@ -91,6 +120,16 @@ class TestRule:
         rows = json.loads(out)
         assert [sum(row) for row in rows] == [1, 2, 5, 14, 42]
 
+    def test_format_after_flags(self, capsys):
+        rc, out, _ = run(capsys, "rule", "avoid", "3", "--j", "2", "csv")
+        assert rc == 0
+        assert out == "1,0,0,0\n2,1,0,0\n6,3,1,0\n18,9,4,1\n"
+
+    def test_j_only_for_avoid(self, capsys):
+        rc, _, err = run(capsys, "rule", "catalan-plain", "4", "--j", "3")
+        assert rc == 2
+        assert err.startswith("error:")
+
 
 class TestConstruct:
     def test_survivors_sorted_lines(self, capsys):
@@ -158,6 +197,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["table", "11100", "41"])
         assert info.value.code == 2
+
+    def test_series_order_cap(self, capsys):
+        rc, _, err = run(capsys, "series", "z", "--j", "2", "--order",
+                         str(SERIES_ORDER_CAP + 1))
+        assert rc == 2
+        assert err.startswith("error:")
+
+    def test_verify_order_cap(self, capsys):
+        rc, _, err = run(capsys, "verify", "--j", "1", "--levels", "2",
+                         "--order", str(VERIFY_ORDER_CAP + 1))
+        assert rc == 2
+        assert err.startswith("error:")
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):

@@ -126,6 +126,12 @@ class TestAutomaton:
 
     def test_matches_table_corner(self):
         assert count_by_automaton("11100", 7, 7) == 2232
+        # the last row and column of the table at the CLI's order cap of 40
+        for bits in ("11100", "101010"):
+            table = avoider_table(bits, 40)
+            for i in range(41):
+                assert count_by_automaton(bits, 40, i) == table.entry(40, i)
+                assert count_by_automaton(bits, i, 40) == table.entry(i, 40)
 
     def test_matches_enumeration_grid(self):
         for bits in ("110", "11100", "101010", "1"):

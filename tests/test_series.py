@@ -154,6 +154,9 @@ class TestReversion:
         h = u(0, 1, -1, order=9)
         g = h.revert()
         assert h.compose(g) == u(0, 1, order=9)
+        # t - t^2 reverts to the shifted Catalan series, kept in int
+        assert g.coeffs == (0, 1, 1, 2, 5, 14, 42, 132, 429, 1430)
+        assert all(type(c) is int for c in g.coeffs)
 
     def test_not_revertible(self):
         with pytest.raises(NotRevertible):
@@ -220,12 +223,13 @@ class TestProperties:
             return
         assert (a * b).truncate(m) == a.truncate(m) * b.truncate(m)
 
-    @given(useries(min_order=1))
-    def test_revert_closes(self, h):
-        if h.coeffs[0] != 0 or h.coeffs[1] == 0:
-            return
+    @given(useries(min_order=1), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    def test_revert_closes(self, h, slope):
+        # every draw revertible, f'(0) = +-2, +-3 giving rational coefficients
+        h = USeries((0, slope) + h.coeffs[2:])
         g = h.revert()
         assert h.compose(g) == USeries([0, 1], order=h.order)
+        assert g.revert() == h
 
 
 class TestBSeries:
