@@ -17,11 +17,13 @@ from .series import USeries
 
 FORMATS = ("csv", "json", "text")
 
-# Order caps sized from measured cost: the slowest series at the cap is
+# Caps sized from measured cost: the slowest series at the cap is
 # family_a with j = order - 1 (about 2 s at order 100); the slowest verify at
-# its cap is j = order - 1 (about 1.5 s at order 80, two levels).
+# its cap is j = order - 1 (about 1.5 s at order 80, two levels); the avoid
+# rule is the slowest to expand, about 2.2 s at 300 levels and 5 s at 400.
 SERIES_ORDER_CAP = 100
 VERIFY_ORDER_CAP = 80
+RULE_LEVELS_CAP = 300
 
 
 def _pattern_arg(text: str) -> str:
@@ -168,6 +170,8 @@ _RULES = {
 
 
 def cmd_rule(args) -> int:
+    if args.levels > RULE_LEVELS_CAP:
+        raise ValueError(f"levels must be at most {RULE_LEVELS_CAP}")
     if args.name == "avoid":
         if args.j is None:
             raise ValueError("the avoid rule needs --j")
@@ -321,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
 _USAGE_ERRORS = (
     ValueError,
     pattern.TooLarge,
-    paths.TooLarge,
     riordan.NotProper,
 )
 

@@ -10,17 +10,23 @@ forbidden factor '1' * (j+1) + '0' * j dropped in by the rule's jumping
 production; a node's sign is the parity of its marked blocks, and summing
 signs per word annihilates every word containing the factor while leaving
 each avoider exactly once.
+
+What is validated where: the public `AnnotatedPath` constructor checks
+everything (j, the letters, and every marked block), and so does every path
+`zero1_forward` and `zero1_inverse` return.  The tree grows a child from
+its parent with `_extend`, which checks only the blocks the child appends:
+the parent's steps and marks are the child's prefix and were checked when
+the parent was built.  `ConstructionNode` checks its invariants (level,
+endpoint, mark parity) on every node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
+from .pattern import TooLarge
 from .rules import PLAIN, ZERO1, ZERO2, Label, LevelCensus
-
-
-class TooLarge(Exception):
-    """Tree expansion refused: the level guard was exceeded."""
 
 
 class MalformedInput(Exception):
@@ -50,7 +56,21 @@ def _ordinates(steps: str) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+def _check_blocks(j: int, steps: str, marks, prev_end: int | None = None) -> None:
+    # marks sorted; prev_end is where the last block before them ends
+    span = 2 * j + 1
+    block = "1" * (j + 1) + "0" * j
+    for s in marks:
+        if s < 0 or s + span > len(steps):
+            raise ValueError(f"marked block at {s} leaves the path")
+        if steps[s : s + span] != block:
+            raise ValueError(f"steps at {s} do not spell the factor")
+        if prev_end is not None and s < prev_end:
+            raise ValueError("marked blocks overlap")
+        prev_end = s + span
+
+
+@dataclass(frozen=True, slots=True)
 class AnnotatedPath:
     """A path plus the start indices of its marked blocks.
 
@@ -71,17 +91,7 @@ class AnnotatedPath:
             raise ValueError("steps must be a string over 0/1")
         marks = tuple(sorted(self.marks))
         object.__setattr__(self, "marks", marks)
-        span = self.span
-        block = self.block
-        prev_end = None
-        for s in marks:
-            if s < 0 or s + span > len(self.steps):
-                raise ValueError(f"marked block at {s} leaves the path")
-            if self.steps[s : s + span] != block:
-                raise ValueError(f"steps at {s} do not spell the factor")
-            if prev_end is not None and s < prev_end:
-                raise ValueError("marked blocks overlap")
-            prev_end = s + span
+        _check_blocks(self.j, self.steps, marks)
 
     @property
     def span(self) -> int:
@@ -109,6 +119,27 @@ class AnnotatedPath:
         return any(s <= i < s + self.span for s in self.marks)
 
 
+def _extend(path: AnnotatedPath, body: str, added: tuple[int, ...],
+            falls) -> list[AnnotatedPath]:
+    """The paths path + body + '0' * f for each f in `falls`, all sharing
+    the marks of `path` plus `added`.  Only the `added` blocks are checked:
+    each must spell the factor within path + body, after every earlier
+    block."""
+    prefix = path.steps + body
+    if added:
+        last = path.marks[-1] + path.span if path.marks else None
+        _check_blocks(path.j, prefix, added, last)
+    marks = path.marks + added
+    out = []
+    for f in falls:
+        grown = object.__new__(AnnotatedPath)
+        object.__setattr__(grown, "j", path.j)
+        object.__setattr__(grown, "steps", prefix + "0" * f)
+        object.__setattr__(grown, "marks", marks)
+        out.append(grown)
+    return out
+
+
 def _rearranged(path: AnnotatedPath, pieces, error) -> AnnotatedPath:
     # pieces: (a, b) step ranges of the old path, or literal unmarked step
     # strings; marks travel with their range and must never be cut.
@@ -134,6 +165,16 @@ def _rearranged(path: AnnotatedPath, pieces, error) -> AnnotatedPath:
     return AnnotatedPath(path.j, "".join(out), tuple(new_marks))
 
 
+def _block_mask(path: AnnotatedPath, size: int, first: int) -> list[bool]:
+    """Flags at indices s + first .. s + span - 1 of every marked block s:
+    first = 1 flags the points inside blocks, first = 0 their steps."""
+    mask = [False] * size
+    inside = [True] * (path.span - first)
+    for s in path.marks:
+        mask[s + first : s + path.span] = inside
+    return mask
+
+
 def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
     """Rearrange a path ending at ordinate 1 into its zero-sub-1 child.
 
@@ -150,10 +191,12 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
         raise MalformedInput("input must end at ordinate 1")
     i = max(m for m, o in enumerate(ords) if o <= 0)
     # a unit-step path above the axis afterwards forces an exact axis hit
-    assert ords[i] == 0
-    if path.is_interior_point(i):
-        raise MalformedInput("suffix would start inside a marked block")
+    if ords[i] != 0:
+        raise MalformedInput("the suffix above the axis does not start on it")
     n = len(path.steps)
+    interior = _block_mask(path, n + 1, 1)
+    if interior[i]:
+        raise MalformedInput("suffix would start inside a marked block")
     in_phi = [s for s in path.marks if s >= i]
     if not in_phi:
         head = path.steps[:i]
@@ -161,12 +204,8 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
     peak = path.j + 1
     r_span = max(in_phi, key=lambda s: (ords[s + peak], s))
     block_end = r_span + path.span
-    t_ord = max(ords[m] for m in range(block_end, n + 1) if not path.is_interior_point(m))
-    z_points = [
-        m
-        for m in range(i, n + 1)
-        if ords[m] >= t_ord and not path.is_interior_point(m)
-    ]
+    t_ord = max(ords[m] for m in range(block_end, n + 1) if not interior[m])
+    z_points = [m for m in range(i, n + 1) if ords[m] >= t_ord and not interior[m]]
     top = max(ords[m] for m in z_points)
     z = min(m for m in z_points if ords[m] == top)
     return _rearranged(path, [(0, i), "0", (z, n), (i, z)], MalformedInput)
@@ -186,11 +225,12 @@ def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
     if not path.steps or ords[-1] != 0:
         raise NotInImage("image paths end on the axis")
     n = len(path.steps)
+    in_mark = _block_mask(path, n, 0)
+    # a step right of a marked peak above ordinate j cannot be d
+    first = max((s for s in path.marks if ords[s + path.j + 1] > path.j), default=0)
     d = None
-    for step in range(n - 1, -1, -1):
-        if path.steps[step] != "0" or ords[step] != 0 or path.step_in_mark(step):
-            continue
-        if all(ords[s + path.j + 1] <= path.j for s in path.marks if s > step):
+    for step in range(n - 1, first - 1, -1):
+        if path.steps[step] == "0" and ords[step] == 0 and not in_mark[step]:
             d = step
             break
     if d is None:
@@ -209,7 +249,7 @@ def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
     return AnnotatedPath(path.j, head + complement(path.steps[start : n - 1]), path.marks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstructionNode:
     """A tree node: its path, its rule label, and its level."""
 
@@ -230,40 +270,50 @@ class ConstructionNode:
         return -1 if self.label.marked else 1
 
 
-def _children(node: ConstructionNode, appended_marks: tuple[int, ...], body: str,
-              jump: int) -> list[ConstructionNode]:
-    path = node.path
-    j, k = path.j, node.label.value
-    adds_mark = len(appended_marks) % 2 == 1
-    child_marked = node.label.marked != adds_mark
-    level = node.level + jump
-    marks = path.marks + appended_marks
-    kids = []
-    hook = AnnotatedPath(j, path.steps + body + "0" * k, marks)
-    kids.append(
-        ConstructionNode(zero1_forward(hook), Label(0, ZERO1, child_marked), level)
+@cache
+def _child_labels(k: int, marked: bool) -> tuple[Label, ...]:
+    """The labels (0_1)(0_2)(1)...(k+1) of a node (k)'s children."""
+    return (Label(0, ZERO1, marked), Label(0, ZERO2, marked)) + tuple(
+        Label(h, PLAIN, marked) for h in range(1, k + 2)
     )
-    for h in range(k + 2):
-        grown = AnnotatedPath(j, path.steps + body + "0" * (k + 1 - h), marks)
-        variant = ZERO2 if h == 0 else PLAIN
-        kids.append(ConstructionNode(grown, Label(h, variant, child_marked), level))
-    return kids
+
+
+def _children(node: ConstructionNode, added: tuple[int, ...], body: str,
+              jump: int) -> tuple[list[ConstructionNode], AnnotatedPath]:
+    """The k+3 children of one production, the zero-sub-1 child first, and
+    the hook it was rearranged from: the path of the (1) child, which ends
+    at ordinate 1."""
+    k = node.label.value
+    labels = _child_labels(k, node.label.marked != (len(added) % 2 == 1))
+    level = node.level + jump
+    # the (h) child, and the (0_2) child for h = 0, ends with k + 1 - h falls
+    grown = _extend(node.path, body, added, range(k + 1, -1, -1))
+    hook = grown[1]
+    kids = [ConstructionNode(zero1_forward(hook), labels[0], level)]
+    kids += [ConstructionNode(p, label, level) for p, label in zip(grown, labels[1:])]
+    return kids, hook
 
 
 def produce_plain(node: ConstructionNode) -> list[ConstructionNode]:
     """The k+3 children one level down: a rise and a tail of falls, with
     the axis-rise child routed through `zero1_forward`."""
-    return _children(node, (), "1", 1)
+    return _children(node, (), "1", 1)[0]
 
 
 def produce_marked(node: ConstructionNode) -> list[ConstructionNode]:
     """The k+3 children j+1 levels down, each gaining one marked block."""
     start = len(node.path.steps)
-    return _children(node, (start,), node.path.block, node.path.j + 1)
+    return _children(node, (start,), node.path.block, node.path.j + 1)[0]
 
 
-def build_tree(j: int, max_level: int) -> list[list[ConstructionNode]]:
-    """Materialize the whole tree, nodes grouped by level 0..max_level."""
+def build_tree(j: int, max_level: int, *,
+               hooks: list | None = None) -> list[list[ConstructionNode]]:
+    """Materialize the whole tree, nodes grouped by level 0..max_level.
+
+    Every construction check folds over this one walk.  With a list as
+    `hooks`, every zero-sub-1 child is appended to it as (hook, child), hook
+    being the path `zero1_forward` made the child from.
+    """
     if j < 1:
         raise ValueError("the family parameter j must be >= 1")
     if max_level < 0:
@@ -272,14 +322,17 @@ def build_tree(j: int, max_level: int) -> list[list[ConstructionNode]]:
     if max_level > limit:
         raise TooLarge(f"levels beyond {limit} for j={j} are too big to build")
     levels: list[list[ConstructionNode]] = [[] for _ in range(max_level + 1)]
-    root = ConstructionNode(AnnotatedPath(j, ""), Label(0), 0)
-    levels[0].append(root)
+    levels[0].append(ConstructionNode(AnnotatedPath(j, ""), Label(0), 0))
+    block = "1" * (j + 1) + "0" * j
     for lv in range(max_level + 1):
         for node in levels[lv]:
-            if lv + 1 <= max_level:
-                levels[lv + 1].extend(produce_plain(node))
-            if lv + j + 1 <= max_level:
-                levels[lv + j + 1].extend(produce_marked(node))
+            start = len(node.path.steps)
+            for jump, added, body in ((1, (), "1"), (j + 1, (start,), block)):
+                if lv + jump <= max_level:
+                    kids, hook = _children(node, added, body, jump)
+                    levels[lv + jump].extend(kids)
+                    if hooks is not None:
+                        hooks.append((hook, kids[0]))
     return levels
 
 
@@ -295,21 +348,33 @@ def word_census(nodes) -> dict[str, tuple[int, int]]:
     return out
 
 
+def net_survivors(
+    census: dict[str, tuple[int, int]],
+) -> tuple[set[str], list[tuple[str, int]]]:
+    """The words of a word census with net signed multiplicity +1, and the
+    (word, net) pairs whose net is neither 0 nor 1, in census order."""
+    words = set()
+    bad = []
+    for word, (even, odd) in census.items():
+        net = even - odd
+        if net == 1:
+            words.add(word)
+        elif net != 0:
+            bad.append((word, net))
+    return words, bad
+
+
 def survivors(j: int, n: int) -> set[str]:
     """Words at level n with net signed multiplicity +1.
 
     Every other word must net to 0; anything else is a construction bug
     and raises InconsistentCensus.
     """
-    levels = build_tree(j, n)
-    out = set()
-    for word, (even, odd) in word_census(levels[n]).items():
-        net = even - odd
-        if net == 1:
-            out.add(word)
-        elif net != 0:
-            raise InconsistentCensus(f"word {word} has net multiplicity {net}")
-    return out
+    words, bad = net_survivors(word_census(build_tree(j, n)[n]))
+    if bad:
+        word, net = bad[0]
+        raise InconsistentCensus(f"word {word} has net multiplicity {net}")
+    return words
 
 
 def copies_census(j: int, n: int) -> dict[str, tuple[int, int]]:

@@ -19,7 +19,8 @@ ENUMERATION_LIMIT = 22
 
 
 class TooLarge(Exception):
-    """Exhaustive enumeration refused: the word length guard was exceeded."""
+    """A size guard was exceeded: enumeration past its word length, or a
+    tree past its level guard (raised by module `paths` too)."""
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ ZERO2 = "zero2"
 _VARIANTS = (PLAIN, ZERO1, ZERO2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """A rule label: a value, an optional zero-variant tag, and a mark."""
 

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 from .pattern import avoider_table, avoiding_words
 from .paths import (
-    AnnotatedPath,
     build_tree,
+    net_survivors,
     occurrence_count,
     signed_census,
     word_census,
-    zero1_forward,
     zero1_inverse,
 )
 from .riordan import (
@@ -91,63 +90,34 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
     got = [tuple(r) for r in census.triangle_rows()]
     out.append(_result("rule-census", got == rows, "census differs from triangle"))
 
-    tree = build_tree(j, levels)
+    hooks: list = []
+    tree = build_tree(j, levels, hooks=hooks)
     out.append(
         _result("construction-census", signed_census(tree) == census,
                 "tree census differs from rule census")
     )
 
-    bad_words = []
+    # one word census per level feeds both the survivors and the copies law
+    bad_survivors = []
+    bad_copies = []
     for n in range(levels + 1):
+        words = word_census(tree[n])
+        net_one, bad = net_survivors(words)
+        bad_survivors += [(n, word, net) for word, net in bad]
         wanted = set()
         for k in range(n + 1):
             wanted |= avoiding_words(pattern, n, k)
-        net_one = set()
-        for word, (even, odd) in word_census(tree[n]).items():
-            net = even - odd
-            if net == 1:
-                net_one.add(word)
-            elif net != 0:
-                bad_words.append((n, word, net))
         if net_one != wanted:
-            bad_words.append((n, "survivor-set-mismatch", 0))
-    out.append(_result("survivors", not bad_words, f"first issues: {bad_words[:3]}"))
-
-    bad_words = []
-    for n in range(levels + 1):
-        for word, (even, odd) in word_census(tree[n]).items():
+            bad_survivors.append((n, "survivor-set-mismatch", 0))
+        for word, (even, odd) in words.items():
             c = occurrence_count(word, j)
             want = (1, 0) if c == 0 else (2 ** (c - 1), 2 ** (c - 1))
             if (even, odd) != want:
-                bad_words.append((n, word, even, odd))
-    out.append(_result("copies-law", not bad_words, f"first issues: {bad_words[:3]}"))
+                bad_copies.append((n, word, even, odd))
+    out.append(_result("survivors", not bad_survivors, f"first issues: {bad_survivors[:3]}"))
+    out.append(_result("copies-law", not bad_copies, f"first issues: {bad_copies[:3]}"))
 
-    bad_trips = _roundtrip_violations(tree, j, levels)
+    # every hook the build fed to zero1_forward, against its zero-sub-1 child
+    bad_trips = [hook.steps for hook, child in hooks if zero1_inverse(child.path) != hook]
     out.append(_result("round-trip", not bad_trips, f"first issues: {bad_trips[:3]}"))
-    return out
-
-
-def _roundtrip_violations(tree, j: int, levels: int) -> list[str]:
-    """Apply forward-then-inverse to every axis-rise production input the
-    tree ever feeds to the rearrangement, mirroring the build's gating."""
-    out = []
-    for lv, nodes in enumerate(tree):
-        for node in nodes:
-            hooks = []
-            k = node.label.value
-            if lv + 1 <= levels:
-                hooks.append(
-                    AnnotatedPath(j, node.path.steps + "1" + "0" * k, node.path.marks)
-                )
-            if lv + j + 1 <= levels:
-                hooks.append(
-                    AnnotatedPath(
-                        j,
-                        node.path.steps + node.path.block + "0" * k,
-                        node.path.marks + (len(node.path.steps),),
-                    )
-                )
-            for hook in hooks:
-                if zero1_inverse(zero1_forward(hook)) != hook:
-                    out.append(hook.steps)
     return out

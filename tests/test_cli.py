@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from wordavoid.cli import SERIES_ORDER_CAP, VERIFY_ORDER_CAP, main
+from wordavoid.cli import RULE_LEVELS_CAP, SERIES_ORDER_CAP, VERIFY_ORDER_CAP, main
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -208,6 +208,13 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "verify", "--j", "1", "--levels", "2",
                          "--order", str(VERIFY_ORDER_CAP + 1))
         assert rc == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["avoid", "--j", "1"], ["catalan-plain"]])
+    def test_rule_levels_cap(self, capsys, argv):
+        rc, out, err = run(capsys, "rule", argv[0], str(RULE_LEVELS_CAP + 1), *argv[1:])
+        assert rc == 2
+        assert out == ""
         assert err.startswith("error:")
 
     def test_missing_subcommand(self, capsys):

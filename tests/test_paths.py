@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from wordavoid import pattern
 from wordavoid.pattern import avoiding_words
 from wordavoid.paths import (
     AnnotatedPath,
@@ -7,9 +10,12 @@ from wordavoid.paths import (
     MalformedInput,
     NotInImage,
     TooLarge,
+    _block_mask,
+    _extend,
     build_tree,
     complement,
     copies_census,
+    net_survivors,
     node_json,
     occurrence_count,
     produce_marked,
@@ -25,6 +31,31 @@ from wordavoid.rules import Label, avoid_rule, expand
 
 def path(steps, *marks, j=1):
     return AnnotatedPath(j, steps, tuple(marks))
+
+
+@st.composite
+def annotated_paths(draw, end):
+    """Valid paths ending at ordinate `end`: random steps with a monotone
+    run to `end` inserted at a random point, then up to three marked blocks
+    spliced in at random points."""
+    j = draw(st.integers(min_value=1, max_value=3))
+    steps = draw(st.text("01", max_size=12))
+    blocks = draw(st.integers(min_value=0, max_value=3))
+    # each block adds one to the endpoint
+    rise = 2 * steps.count("1") - len(steps) + blocks
+    run = "1" * (end - rise) if rise < end else "0" * (rise - end)
+    at = draw(st.integers(min_value=0, max_value=len(steps)))
+    steps = steps[:at] + run + steps[at:]
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(steps)),
+                                min_size=blocks, max_size=blocks)))
+    block = "1" * (j + 1) + "0" * j
+    out, marks, prev = "", [], 0
+    for c in cuts:
+        out += steps[prev:c]
+        marks.append(len(out))
+        out += block
+        prev = c
+    return AnnotatedPath(j, out + steps[prev:], tuple(marks))
 
 
 class TestComplement:
@@ -127,14 +158,19 @@ class TestInverseMap:
         # the lone fall outside the block starts above the axis
         with pytest.raises(NotInImage):
             zero1_inverse(path("1100", 0))
+        # the only axis fall lies left of a marked peak above ordinate j
+        with pytest.raises(NotInImage):
+            zero1_inverse(path("011100", 2))
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("j,levels", [(1, 5), (2, 5)])
     def test_hooks_recovered_exactly(self, j, levels):
-        tree = build_tree(j, levels)
+        reported = []
+        tree = build_tree(j, levels, hooks=reported)
         block = "1" * (j + 1) + "0" * j
         checked = 0
+        rebuilt = []
         for level_nodes in tree:
             for node in level_nodes:
                 k = node.label.value
@@ -155,8 +191,32 @@ class TestRoundTrip:
                     assert image.endpoint == 0
                     assert len(image.marks) == len(hook.marks)
                     assert zero1_inverse(image) == hook
+                    rebuilt.append((hook, image))
                     checked += 1
         assert checked > 100
+        # the build reports exactly these hooks, each with its zero-sub-1 child
+        assert all(c.label.variant == "zero1" for _, c in reported)
+        assert sorted(
+            (h.steps, h.marks, c.path.steps, c.path.marks) for h, c in reported
+        ) == sorted((h.steps, h.marks, i.steps, i.marks) for h, i in rebuilt)
+
+    @given(annotated_paths(end=1))
+    def test_inverse_undoes_forward(self, p):
+        image = zero1_forward(p)
+        assert image.endpoint == 0
+        assert len(image.marks) == len(p.marks)
+        assert zero1_inverse(image) == p
+
+    @given(annotated_paths(end=1))
+    def test_forward_undoes_inverse_on_the_image(self, p):
+        image = zero1_forward(p)
+        assert zero1_forward(zero1_inverse(image)) == image
+
+    @given(st.one_of(annotated_paths(end=0), annotated_paths(end=1)))
+    def test_masks_match_the_public_predicates(self, p):
+        n = len(p.steps)
+        assert _block_mask(p, n + 1, 1) == [p.is_interior_point(m) for m in range(n + 1)]
+        assert _block_mask(p, n, 0) == [p.step_in_mark(i) for i in range(n)]
 
 
 class TestConstructionNodes:
@@ -194,6 +254,28 @@ class TestConstructionNodes:
         with pytest.raises(ValueError):
             ConstructionNode(path("110", 0), Label(1), 2)  # parity mismatch
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_grown_paths_pass_full_validation(self, j):
+        for nodes in build_tree(j, 6):
+            for n in nodes:
+                assert AnnotatedPath(j, n.path.steps, n.path.marks) == n.path
+                ConstructionNode(n.path, n.label, n.level)
+
+    def test_extension_checks_appended_blocks(self):
+        parent = path("110", 0)
+        assert _extend(parent, "110", (3,), [1]) == [path("1101100", 0, 3)]
+        with pytest.raises(ValueError):
+            _extend(parent, "101", (3,), [0])  # does not spell the factor
+        with pytest.raises(ValueError):
+            _extend(parent, "11", (3,), [0])  # leaves the body
+        with pytest.raises(ValueError):
+            _extend(path("110110", 3), "", (0,), [0])  # before the parent's block
+
+    def test_nodes_carry_no_instance_dict(self):
+        node = build_tree(1, 2)[2][0]
+        for obj in (node, node.path, node.label):
+            assert not hasattr(obj, "__dict__")
+
     def test_node_json(self):
         node = ConstructionNode(path("110", 0), Label(1, marked=True), 2)
         assert node_json(node) == {
@@ -221,6 +303,9 @@ class TestTree:
                 avoid_rule(j), levels
             )
 
+    def test_one_too_large(self):
+        assert TooLarge is pattern.TooLarge
+
     def test_word_census_nets(self):
         counts = word_census(build_tree(1, 4)[4])
         assert counts["110110"] == (2, 2)
@@ -240,6 +325,10 @@ class TestSurvivors:
             for zeros in range(n + 1):
                 expected |= avoiding_words(pattern, n, zeros)
             assert survivors(j, n) == expected
+
+    def test_net_survivors_splits_census(self):
+        census = {"11": (1, 0), "110": (2, 2), "0110": (2, 0), "1100": (0, 1)}
+        assert net_survivors(census) == ({"11"}, [("0110", 2), ("1100", -1)])
 
     def test_guard_propagates(self):
         with pytest.raises(TooLarge):
