@@ -212,41 +212,41 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
 
 
 def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
-    """Undo `zero1_forward`.
+    """Undo `zero1_forward`, raising NotInImage on any path outside its image.
 
-    Find d, the rightmost uncut fall step starting on the axis with every
-    marked peak to its right at ordinate at most j.  If marked blocks lie
-    right of d, drop d, cut the rest at its rightmost lowest point l, and
-    swap the halves: head + rest[l:] + rest[:l].  Otherwise the last step
-    must be a rise; drop it and complement the mark-free suffix hanging
-    from the last axis point.
+    Find d, the rightmost uncut fall step starting on the axis.  If marked
+    blocks lie right of d, the path is an image exactly when every uncut
+    point strictly between d and the end lies below the axis; then drop d,
+    cut the rest at its rightmost lowest point l, and swap the halves:
+    head + rest[l:] + rest[:l].  Otherwise it is an image exactly when its
+    last step is a rise; drop that rise and complement the steps from d on.
     """
     ords = _ordinates(path.steps)
     if not path.steps or ords[-1] != 0:
         raise NotInImage("image paths end on the axis")
     n = len(path.steps)
     in_mark = _block_mask(path, n, 0)
-    # a step right of a marked peak above ordinate j cannot be d
-    first = max((s for s in path.marks if ords[s + path.j + 1] > path.j), default=0)
     d = None
-    for step in range(n - 1, first - 1, -1):
+    for step in range(n - 1, -1, -1):
         if path.steps[step] == "0" and ords[step] == 0 and not in_mark[step]:
             d = step
             break
     if d is None:
         raise NotInImage("no cut step qualifies")
-    if any(s > d for s in path.marks):
+    if path.marks and path.marks[-1] > d:
+        interior = _block_mask(path, n + 1, 1)
+        if any(ords[m] >= 0 and not interior[m] for m in range(d + 1, n)):
+            raise NotInImage("an uncut point right of d is not below the axis")
         base = d + 1
         low = min(ords[m] for m in range(base, n + 1))
         l = max(m for m in range(base, n + 1) if ords[m] == low)
         return _rearranged(path, [(0, d), (l, n), (base, l)], NotInImage)
     if path.steps[-1] != "1":
         raise NotInImage("an image without late marks ends with a rise")
-    start = max(m for m in range(n) if ords[m] == 0)
-    if any(s + path.span > start for s in path.marks):
-        raise NotInImage("marks would be complemented")
-    head = path.steps[:start]
-    return AnnotatedPath(path.j, head + complement(path.steps[start : n - 1]), path.marks)
+    # no uncut fall leaves the axis after d, so the steps d .. n-2 stay
+    # below it and carry no marks
+    steps = path.steps[:d] + complement(path.steps[d : n - 1])
+    return AnnotatedPath(path.j, steps, path.marks)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,7 @@ same value on the same level.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 PLAIN = "plain"
@@ -40,7 +40,7 @@ class Label:
             raise ValueError("zero variants must carry value 0")
 
     def flipped(self) -> "Label":
-        return replace(self, marked=not self.marked)
+        return Label(self.value, self.variant, not self.marked)
 
 
 @dataclass(frozen=True)
@@ -117,32 +117,74 @@ class LevelCensus:
         return f"LevelCensus(max_level={self.max_level})"
 
 
+def _row(productions: tuple[Production, ...]) -> dict[int, dict[int, int]]:
+    """Signed child multiplicities per jump and label value: a marked label
+    counts -1, so a label and its flipped twin in one jump cancel."""
+    row: dict[int, dict[int, int]] = {}
+    for prod in productions:
+        arm = row.setdefault(prod.jump, {})
+        for lab in prod.labels:
+            arm[lab.value] = arm.get(lab.value, 0) + (-1 if lab.marked else 1)
+    return row
+
+
+def _difference(low: dict[int, dict[int, int]], high: dict[int, dict[int, int]]):
+    """The nonzero entries of row `high` minus row `low`, grouped by jump."""
+    out = []
+    for jump in sorted(low.keys() | high.keys()):
+        a, b = low.get(jump, {}), high.get(jump, {})
+        entries = tuple(
+            (value, b.get(value, 0) - a.get(value, 0))
+            for value in sorted(a.keys() | b.keys())
+            if b.get(value, 0) != a.get(value, 0)
+        )
+        if entries:
+            out.append((jump, entries))
+    return tuple(out)
+
+
 def expand(rule: RuleSpec, levels: int) -> LevelCensus:
     """Census the rule's tree down to `levels` by dynamic programming.
 
-    Signs distribute over the per-level net counts: a parent with net
-    count c contributes c to an unmarked child's value and -c to a marked
-    child's, so nodes are never materialized.
+    Signs distribute over the per-level net counts, so nodes are never
+    materialized: a level's census is the sum, over its values v with net
+    count c(v), of c(v) times v's row R(v), the signed multiplicities of
+    v's children per jump and label value.  The sum is telescoped: with
+    the level's nonzero values v_1 < ... < v_m and suffix sums
+    S_i = c(v_i) + ... + c(v_m), it equals the sum of S_i times
+    R(v_i) - R(v_(i-1)), R(v_0) being zero.  Each difference is computed
+    once per pair of consecutive values and kept as its nonzero entries.
+    For a rule whose consecutive rows differ in O(1) entries, as every
+    built-in rule's do, a level then costs O(values) updates and the whole
+    census O(levels^2), not O(levels^3).  `produce` is called once for each
+    value reached with a nonzero net count, and for no other value.
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
     per_level: list[dict[int, int]] = [{} for _ in range(levels + 1)]
     per_level[0][rule.axiom.value] = -1 if rule.axiom.marked else 1
-    productions: dict[int, tuple[Production, ...]] = {}
+    rows: dict[int | None, dict[int, dict[int, int]]] = {None: {}}
+    differences: dict[tuple[int | None, int], tuple] = {}
     for lv in range(levels + 1):
-        for value, c in sorted(per_level[lv].items()):
-            if c == 0:
-                continue
-            if value not in productions:
-                productions[value] = rule.produce(value)
-            for prod in productions[value]:
-                target = lv + prod.jump
+        counts = per_level[lv]
+        values = sorted(v for v, c in counts.items() if c)
+        suffix = sum(counts.values())
+        prev = None
+        for value in values:
+            diff = differences.get((prev, value))
+            if diff is None:
+                if value not in rows:
+                    rows[value] = _row(rule.produce(value))
+                diff = differences[prev, value] = _difference(rows[prev], rows[value])
+            for jump, entries in diff:
+                target = lv + jump
                 if target > levels:
                     continue
                 bucket = per_level[target]
-                for lab in prod.labels:
-                    delta = -c if lab.marked else c
-                    bucket[lab.value] = bucket.get(lab.value, 0) + delta
+                for w, d in entries:
+                    bucket[w] = bucket.get(w, 0) + suffix * d
+            suffix -= counts[value]
+            prev = value
     counts = {
         (lv, value): c
         for lv, bucket in enumerate(per_level)

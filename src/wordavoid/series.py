@@ -140,16 +140,16 @@ class USeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only non-negative integer powers are defined")
-        result = USeries([1], order=self.order)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return USeries([1], order=self.order) if result is None else result
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -275,11 +275,38 @@ def _newton_cap(order: int) -> int:
     return order.bit_length() + 2
 
 
+def _times_sparse(row: USeries, series: USeries) -> USeries:
+    """row * series, one shifted, scaled copy of `series` per nonzero
+    coefficient of `row`."""
+    n = min(row.order, series.order)
+    out = [0] * (n + 1)
+    for k, c in enumerate(row.coeffs[: n + 1]):
+        if c:
+            for i, x in enumerate(series.coeffs[: n + 1 - k], k):
+                out[i] += c * x
+    return USeries(out)
+
+
 def _eval_poly(table: Sequence[USeries], at: USeries) -> USeries:
-    acc = table[-1]
-    for c in reversed(table[:-1]):
-        acc = acc * at + c
-    return acc
+    """The sum of table[i] * at^i over the rows that are not zero.
+
+    Each needed power steps from the previous one by a power computed by
+    squaring, so a polynomial with r nonzero rows up to degree m costs
+    O(r log m) products instead of Horner's m; a row multiplies its power
+    term by term, which is cheap for the sparse rows of `family_a`.
+    """
+    acc = power = None
+    done = 0
+    for i, row in enumerate(table):
+        if not any(row.coeffs):
+            continue
+        if i:
+            step = at ** (i - done)
+            power = step if power is None else power * step
+            done = i
+            row = _times_sparse(row, power)
+        acc = row if acc is None else acc + row
+    return USeries([0], order=at.order) if acc is None else acc
 
 
 def solve_polynomial(

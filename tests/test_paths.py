@@ -1,3 +1,6 @@
+import contextlib
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,6 +59,19 @@ def annotated_paths(draw, end):
         out += block
         prev = c
     return AnnotatedPath(j, out + steps[prev:], tuple(marks))
+
+
+def _all_marked_paths(j, n):
+    """Every path of n steps with every set of disjoint marked blocks."""
+    span = 2 * j + 1
+    block = "1" * (j + 1) + "0" * j
+    for bits in itertools.product("01", repeat=n):
+        word = "".join(bits)
+        starts = [s for s in range(n - span + 1) if word[s : s + span] == block]
+        for size in range(len(starts) + 1):
+            for marks in itertools.combinations(starts, size):
+                if all(b - a >= span for a, b in zip(marks, marks[1:])):
+                    yield AnnotatedPath(j, word, marks)
 
 
 class TestComplement:
@@ -158,9 +174,43 @@ class TestInverseMap:
         # the lone fall outside the block starts above the axis
         with pytest.raises(NotInImage):
             zero1_inverse(path("1100", 0))
-        # the only axis fall lies left of a marked peak above ordinate j
+        # the only axis fall, step 0, is followed by the uncut axis point 2
         with pytest.raises(NotInImage):
             zero1_inverse(path("011100", 2))
+
+    def test_rejects_axis_return_after_the_cut_step(self):
+        # d = 0 is the only uncut axis fall, but the uncut point 4 right of
+        # it is back on the axis; the old peak rule inverted this to "110111000"
+        # marked at 0, whose image is "0000110111" marked at 4
+        with pytest.raises(NotInImage):
+            zero1_inverse(path("0110111000", 1))
+
+    @given(annotated_paths(end=0))
+    def test_forward_undoes_inverse_wherever_it_is_defined(self, p):
+        try:
+            preimage = zero1_inverse(p)
+        except NotInImage:
+            return
+        assert zero1_forward(preimage) == p
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_accepts_exactly_the_image(self, j):
+        # every marked path of length up to 12 ending on the axis, against
+        # the forward images of every path one step shorter
+        image = {}
+        for n in range(12):
+            for q in _all_marked_paths(j, n):
+                if q.endpoint == 1:
+                    with contextlib.suppress(MalformedInput):
+                        image[zero1_forward(q)] = q
+        accepted = {}
+        for n in range(13):
+            for p in _all_marked_paths(j, n):
+                if p.endpoint == 0:
+                    with contextlib.suppress(NotInImage):
+                        accepted[p] = zero1_inverse(p)
+        assert sum(1 for p in image if p.marks) > 100
+        assert accepted == image
 
 
 class TestRoundTrip:

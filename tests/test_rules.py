@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordavoid.riordan import family_triangle
 from wordavoid.rules import (
     Label,
     LevelCensus,
     Production,
+    RuleSpec,
     avoid_rule,
     catalan_marked_rule,
     catalan_plain_rule,
@@ -18,6 +21,54 @@ CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786]
 
 def levelmap(census, level):
     return {v: census.count(level, v) for v in census.level_values(level)}
+
+
+# a child label's value as a function of its parent's k: m * k + a; m = 2
+# leaves gaps between the reached values, m = 0 makes a constant label.  A
+# label with a parity is made only by parents k of that parity, so the arms
+# and jumps a node has change from one value to the next.
+_label_specs = st.tuples(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.sampled_from(["plain", "plain", "zero1", "zero2"]),
+    st.sampled_from([None, None, 0, 1]),
+)
+
+
+@st.composite
+def random_rules(draw):
+    """Rules with up to three arms (jumps 1-3, possibly shared), two to
+    four label templates spread over them, marked, zero-variant and
+    parity-gated labels, optionally a label's flipped twin in the same arm,
+    and a possibly marked axiom.  At most five children per node keep the
+    tree under 25,000 nodes at level 6."""
+    jumps = draw(st.lists(st.integers(min_value=1, max_value=3),
+                          min_size=1, max_size=3))
+    specs = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(jumps) - 1), _label_specs),
+        min_size=2, max_size=4,
+    ))
+    twin = draw(st.booleans())
+    axiom = Label(draw(st.integers(min_value=0, max_value=3)), marked=draw(st.booleans()))
+
+    def label(k, spec):
+        m, a, marked, variant, _ = spec
+        if variant != "plain":
+            return Label(0, variant, marked)
+        return Label(m * k + a, marked=marked)
+
+    def produce(k):
+        arms = [[] for _ in jumps]
+        for arm, spec in specs:
+            if spec[4] in (None, k % 2):
+                arms[arm].append(label(k, spec))
+        if twin and arms[specs[0][0]]:
+            arms[specs[0][0]].append(arms[specs[0][0]][0].flipped())
+        return tuple(Production(jump, tuple(labs))
+                     for jump, labs in zip(jumps, arms) if labs)
+
+    return RuleSpec("drawn", axiom, produce)
 
 
 class TestLabel:
@@ -131,6 +182,61 @@ class TestExhaustiveAgreement:
     )
     def test_dp_matches_node_walk(self, rule, levels):
         assert expand(rule, levels) == expand_exhaustive(rule, levels)
+
+    @settings(max_examples=100)
+    @given(random_rules(), st.integers(min_value=0, max_value=6))
+    def test_dp_matches_node_walk_on_drawn_rules(self, rule, levels):
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return rule.produce(k)
+
+        census = expand(RuleSpec(rule.name, rule.axiom, counted), levels)
+        walked = expand_exhaustive(rule, levels)
+        assert census == walked
+        # produce runs once for each value reached with a nonzero net count
+        assert sorted(calls) == sorted({v for (_, v) in walked.counts})
+
+    def test_cancelled_values_are_never_produced(self):
+        # (1) and its marked twin cancel, so (1) is never reached; the gap
+        # between 0 and 2 is skipped too
+        calls = []
+
+        def produce(k):
+            calls.append(k)
+            return (Production(1, (Label(1), Label(1, marked=True), Label(k + 2))),)
+
+        rule = RuleSpec("gaps", Label(0), produce)
+        census = expand(rule, 4)
+        assert calls == [0, 2, 4, 6, 8]
+        assert census.counts == {(lv, 2 * lv): 1 for lv in range(5)}
+        assert census == expand_exhaustive(rule, 4)
+
+    def test_jumps_that_only_some_values_have(self):
+        # even values have a jump-two arm, odd ones do not, so the rows of
+        # consecutive values differ in a jump the higher one lacks
+        def produce(k):
+            near = Production(1, (Label(0), Label(k + 1)))
+            return (near, Production(2, (Label(k + 2),))) if k % 2 == 0 else (near,)
+
+        rule = RuleSpec("parity", Label(0), produce)
+        assert expand(rule, 6) == expand_exhaustive(rule, 6)
+
+    def test_values_netting_zero_across_parents_are_never_produced(self):
+        # (1) and (2) meet again at level 2 as (3) and a marked (3)
+        calls = []
+        children = {0: (Label(1), Label(2)), 1: (Label(3),), 2: (Label(3, marked=True),)}
+
+        def produce(k):
+            calls.append(k)
+            return (Production(1, children.get(k, (Label(k + 1),))),)
+
+        rule = RuleSpec("meet", Label(0), produce)
+        census = expand(rule, 3)
+        assert calls == [0, 1, 2]
+        assert census.counts == {(0, 0): 1, (1, 1): 1, (1, 2): 1}
+        assert census == expand_exhaustive(rule, 3)
 
     def test_node_budget_enforced(self):
         with pytest.raises(ValueError):
