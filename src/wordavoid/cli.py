@@ -13,14 +13,18 @@ import json
 import sys
 
 from . import paths, pattern, riordan, rules, verify
+from .riordan import render_matrix
 from .series import USeries
 
 FORMATS = ("csv", "json", "text")
 
-# Caps sized from measured cost: the slowest series at the cap is
-# family_a with j = order - 1 (about 2 s at order 100); the slowest verify at
-# its cap is j = order - 1 (about 1.5 s at order 80, two levels); the avoid
-# rule is the slowest to expand, about 2.2 s at 300 levels and 5 s at 400.
+# Caps on user-sized inputs.  The slowest call at each cap, min of 3 in
+# process (Python 3.11, 2-CPU Linux VM): avoider_table at order 40 about
+# 0.02 s; family_z and family_a at series order 100 about 0.09 s; run_checks
+# at verify order 80 with two levels about 0.37 s for any j; expand of the
+# avoid rule at 300 levels about 0.09 s.  A rule census prints (L+1)^2 big
+# integers, which also bounds its cap.
+TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100
 VERIFY_ORDER_CAP = 80
 RULE_LEVELS_CAP = 300
@@ -38,22 +42,6 @@ def _fmt(args) -> str:
     if getattr(args, "format", None):
         return args.format
     return "text"
-
-
-def _matrix_text(rows: list[list[int]]) -> str:
-    width = max((len(str(c)) for row in rows for c in row), default=1)
-    return "".join(
-        " ".join(str(c).rjust(width) for c in row).rstrip() + "\n" for row in rows
-    )
-
-
-def _emit_matrix(rows: list[list[int]], fmt: str) -> None:
-    if fmt == "csv":
-        sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in rows))
-    elif fmt == "json":
-        print(json.dumps(rows, separators=(",", ":")))
-    else:
-        sys.stdout.write(_matrix_text(rows))
 
 
 def _emit_series(series: USeries, fmt: str) -> None:
@@ -97,7 +85,7 @@ def cmd_autocorr(args) -> int:
 
 def cmd_table(args) -> int:
     table = pattern.avoider_table(args.pattern, args.order)
-    _emit_matrix(table.integer_rows(), _fmt(args))
+    sys.stdout.write(render_matrix(table.integer_rows(), _fmt(args)))
     return 0
 
 
@@ -122,8 +110,8 @@ def _triangle_operands(args) -> tuple[str | None, int]:
         order = int(order_text)
     except ValueError:
         raise ValueError("order must be an integer") from None
-    if not 0 <= order <= 40:
-        raise ValueError("order must be between 0 and 40")
+    if not 0 <= order <= TABLE_ORDER_CAP:
+        raise ValueError(f"order must be between 0 and {TABLE_ORDER_CAP}")
     return bits, order
 
 
@@ -138,13 +126,7 @@ def cmd_triangle(args) -> int:
             pattern.avoider_table(bits, order)
         )
         triangle = upper if args.bar else lower
-    fmt = _fmt(args)
-    if fmt == "csv":
-        sys.stdout.write(triangle.to_csv())
-    elif fmt == "json":
-        print(triangle.to_json())
-    else:
-        _emit_matrix([list(row) for row in triangle.rows], "text")
+    sys.stdout.write(render_matrix(triangle.rows, _fmt(args)))
     return 0
 
 
@@ -181,13 +163,7 @@ def cmd_rule(args) -> int:
     else:
         spec = _RULES[args.name]()
     census = rules.expand(spec, args.levels)
-    fmt = _fmt(args)
-    if fmt == "csv":
-        sys.stdout.write(census.to_csv())
-    elif fmt == "json":
-        print(census.to_json())
-    else:
-        _emit_matrix(census.matrix(), "text")
+    sys.stdout.write(render_matrix(census.matrix(), _fmt(args)))
     return 0
 
 
@@ -221,12 +197,7 @@ def cmd_construct(args) -> int:
                 print(json.dumps(n, separators=(",", ":")))
     else:
         census = paths.signed_census(paths.build_tree(args.j, args.level))
-        if fmt == "csv":
-            sys.stdout.write(census.to_csv())
-        elif fmt == "json":
-            print(census.to_json())
-        else:
-            _emit_matrix(census.matrix(), "text")
+        sys.stdout.write(render_matrix(census.matrix(), fmt))
     return 0
 
 
@@ -255,13 +226,6 @@ def _add_format(sub, positional: bool = True) -> None:
     if positional:
         sub.add_argument("fmt", nargs="?", choices=FORMATS, default=None)
     sub.add_argument("--format", choices=FORMATS, default=None)
-
-
-def _order_arg(sub, default: int | None = None) -> None:
-    kwargs = {"type": int}
-    if default is None:
-        kwargs["required"] = False
-    sub.add_argument("--order", default=default, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,8 +302,8 @@ def main(argv=None) -> int:
         args.fmt = extra.pop()
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    if args.command == "table" and not 0 <= args.order <= 40:
-        parser.error("order must be between 0 and 40")
+    if args.command == "table" and not 0 <= args.order <= TABLE_ORDER_CAP:
+        parser.error(f"order must be between 0 and {TABLE_ORDER_CAP}")
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -180,11 +180,10 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
 
     Write the input as v + phi with phi the rightmost suffix starting on
     the axis and staying strictly above it.  Without marked blocks in phi
-    the child is v + complement(phi) + rise.  With marked blocks, take the
-    rightmost highest marked peak in phi, let T be the ordinate of the
-    highest uncut point from that block's end rightwards, cut phi at z,
-    the leftmost highest uncut point with ordinate at least T, and emit
-    v + fall + phi[z:] + phi[:z].  Mark count is preserved either way.
+    the child is v + complement(phi) + rise.  With marked blocks, cut phi
+    at z, its leftmost highest uncut point (a point is cut when it lies
+    strictly inside a marked block), and emit v + fall + phi[z:] + phi[:z].
+    Mark count is preserved either way.
     """
     ords = _ordinates(path.steps)
     if not path.steps or ords[-1] != 1:
@@ -201,13 +200,9 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
     if not in_phi:
         head = path.steps[:i]
         return AnnotatedPath(path.j, head + complement(path.steps[i:]) + "1", path.marks)
-    peak = path.j + 1
-    r_span = max(in_phi, key=lambda s: (ords[s + peak], s))
-    block_end = r_span + path.span
-    t_ord = max(ords[m] for m in range(block_end, n + 1) if not interior[m])
-    z_points = [m for m in range(i, n + 1) if ords[m] >= t_ord and not interior[m]]
-    top = max(ords[m] for m in z_points)
-    z = min(m for m in z_points if ords[m] == top)
+    uncut = [m for m in range(i, n + 1) if not interior[m]]
+    top = max(ords[m] for m in uncut)
+    z = next(m for m in uncut if ords[m] == top)
     return _rearranged(path, [(0, i), "0", (z, n), (i, z)], MalformedInput)
 
 

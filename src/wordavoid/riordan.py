@@ -6,7 +6,8 @@ d(0) != 0, h(0) = 0, h'(0) != 0.  The triangle of words avoiding the factor
 '1' * (j+1) + '0' * j, with entry (n, k) counting avoiders with n ones and
 n - k zeros, is Riordan with closed-form d and h; this module builds the
 pair, extracts the row-recurrence sequences, and verifies the recurrences
-the triangle must satisfy.
+the triangle must satisfy.  `render_matrix` prints every integer matrix the
+package emits: tables, triangles and censuses.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ from .series import (
 
 class NotProper(Exception):
     """The series pair does not define a proper Riordan triangle."""
+
+
+def render_matrix(rows, fmt: str) -> str:
+    """Integer rows as text: `csv` lines, one compact `json` array, or
+    right-aligned `text` columns.  Every format ends in a newline."""
+    if fmt == "csv":
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    if fmt == "json":
+        return json.dumps(rows, separators=(",", ":")) + "\n"
+    width = max((len(str(c)) for row in rows for c in row), default=1)
+    return "".join(" ".join(str(c).rjust(width) for c in row) + "\n" for row in rows)
 
 
 class RiordanTriangle:
@@ -53,10 +65,10 @@ class RiordanTriangle:
         return 0
 
     def to_csv(self) -> str:
-        return "".join(",".join(map(str, row)) + "\n" for row in self.rows)
+        return render_matrix(self.rows, "csv")
 
     def to_json(self) -> str:
-        return json.dumps([list(row) for row in self.rows], separators=(",", ":"))
+        return render_matrix(self.rows, "json").rstrip("\n")
 
     def __eq__(self, other):
         if not isinstance(other, RiordanTriangle):
@@ -229,20 +241,29 @@ def verify_column_doubling(r: RiordanTriangle) -> bool:
 
 
 def verify_a_matrix(r: RiordanTriangle, j: int) -> bool:
-    """Check the two-row recurrence characterization for the family.
+    """Check the family's two-row A-matrix identity on every interior entry:
+    entry(n+1, k+1) = S(n, k) - S(n-j, k), where S(n, k) is the sum of row n
+    from column k on, and rows above the triangle sum to zero (the A-matrix
+    characterization of Merlini, Rogers, Sprugnoli & Verri, 1997).
 
-    The entry form coincides with verify_recurrence; on top of that the
-    column series must satisfy h/t = 1 - t^j + h^2/t, which ties the
-    recurrence's coefficient rows to the closed form.
+    On a lower-triangular array this is verify_recurrence telescoped along
+    each row: it accepts exactly the triangles that check accepts, so it is
+    an independent computation of the same condition, not a stronger check.
     """
-    if verify_recurrence(r, j):
-        return False
-    order = max(r.order, j + 1) + 1
-    h = family_h(j, order)
-    lhs = h.shift_down()
-    tj = USeries([0] * j + [1], order=order - 1)
-    rhs = 1 - tj + (h * h).shift_down()
-    return lhs == rhs
+    if j < 1:
+        raise ValueError("the family parameter j must be >= 1")
+    width = r.order + 2
+    suffix = [[0] * width] * j  # suffix[j + n][k] = S(n, k), zero for n < 0
+    for row in r.rows:
+        sums = [0] * width
+        for k in range(len(row) - 1, -1, -1):
+            sums[k] = sums[k + 1] + row[k]
+        suffix.append(sums)
+    return all(
+        r.rows[n + 1][k + 1] == suffix[j + n][k] - suffix[n][k]
+        for n in range(r.order)
+        for k in range(n + 1)
+    )
 
 
 def verify_a_sequence(r: RiordanTriangle, a: USeries) -> list[Violation]:

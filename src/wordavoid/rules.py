@@ -12,9 +12,10 @@ same value on the same level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
+
+from .riordan import render_matrix
 
 PLAIN = "plain"
 ZERO1 = "zero1"
@@ -70,6 +71,8 @@ class LevelCensus:
     __slots__ = ("max_level", "counts")
 
     def __init__(self, max_level: int, counts: dict[tuple[int, int], int]):
+        if any(not 0 <= lv <= max_level for lv, _ in counts):
+            raise ValueError(f"census levels must lie in 0..{max_level}")
         self.max_level = max_level
         self.counts = {key: c for key, c in counts.items() if c != 0}
 
@@ -83,7 +86,10 @@ class LevelCensus:
         return sum(c for (lv, _), c in self.counts.items() if lv == level)
 
     def totals(self) -> list[int]:
-        return [self.level_total(lv) for lv in range(self.max_level + 1)]
+        out = [0] * (self.max_level + 1)
+        for (lv, _), c in self.counts.items():
+            out[lv] += c
+        return out
 
     def max_value(self) -> int:
         return max((v for (_, v) in self.counts), default=0)
@@ -103,10 +109,10 @@ class LevelCensus:
         ]
 
     def to_csv(self) -> str:
-        return "".join(",".join(map(str, row)) + "\n" for row in self.matrix())
+        return render_matrix(self.matrix(), "csv")
 
     def to_json(self) -> str:
-        return json.dumps(self.matrix(), separators=(",", ":"))
+        return render_matrix(self.matrix(), "json").rstrip("\n")
 
     def __eq__(self, other):
         if not isinstance(other, LevelCensus):

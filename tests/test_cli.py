@@ -4,7 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from wordavoid.cli import RULE_LEVELS_CAP, SERIES_ORDER_CAP, VERIFY_ORDER_CAP, main
+from wordavoid.cli import (
+    RULE_LEVELS_CAP,
+    SERIES_ORDER_CAP,
+    TABLE_ORDER_CAP,
+    VERIFY_ORDER_CAP,
+    main,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -68,6 +74,47 @@ class TestGoldenOutputs:
         _, first, _ = run(capsys, "table", "11100", "7", "csv")
         _, second, _ = run(capsys, "table", "11100", "7", "csv")
         assert first == second
+
+
+MATRIX_OUTPUTS = {
+    "table 11100 4": {
+        "csv": "1,1,1,1,1\n1,2,3,4,5\n1,3,6,10,15\n1,4,9,18,32\n1,5,13,29,58\n",
+        "json": "[[1,1,1,1,1],[1,2,3,4,5],[1,3,6,10,15],[1,4,9,18,32],[1,5,13,29,58]]\n",
+        "text": " 1  1  1  1  1\n 1  2  3  4  5\n 1  3  6 10 15\n 1  4  9 18 32\n"
+                " 1  5 13 29 58\n",
+    },
+    "triangle --j 2 4": {
+        "csv": "1\n2,1\n6,3,1\n18,9,4,1\n58,29,13,5,1\n",
+        "json": "[[1],[2,1],[6,3,1],[18,9,4,1],[58,29,13,5,1]]\n",
+        "text": " 1\n 2  1\n 6  3  1\n18  9  4  1\n58 29 13  5  1\n",
+    },
+    "triangle --bar 11100 4": {
+        "csv": "1\n2,1\n6,3,1\n18,10,4,1\n58,32,15,5,1\n",
+        "json": "[[1],[2,1],[6,3,1],[18,10,4,1],[58,32,15,5,1]]\n",
+        "text": " 1\n 2  1\n 6  3  1\n18 10  4  1\n58 32 15  5  1\n",
+    },
+    "rule avoid 4 --j 2": {
+        "csv": "1,0,0,0,0\n2,1,0,0,0\n6,3,1,0,0\n18,9,4,1,0\n58,29,13,5,1\n",
+        "json": "[[1,0,0,0,0],[2,1,0,0,0],[6,3,1,0,0],[18,9,4,1,0],[58,29,13,5,1]]\n",
+        "text": " 1  0  0  0  0\n 2  1  0  0  0\n 6  3  1  0  0\n18  9  4  1  0\n"
+                "58 29 13  5  1\n",
+    },
+    "construct census --j 1 --level 4": {
+        "csv": "1,0,0,0,0\n2,1,0,0,0\n4,2,1,0,0\n8,4,2,1,0\n16,8,4,2,1\n",
+        "json": "[[1,0,0,0,0],[2,1,0,0,0],[4,2,1,0,0],[8,4,2,1,0],[16,8,4,2,1]]\n",
+        "text": " 1  0  0  0  0\n 2  1  0  0  0\n 4  2  1  0  0\n 8  4  2  1  0\n"
+                "16  8  4  2  1\n",
+    },
+}
+
+
+class TestMatrixOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("command", sorted(MATRIX_OUTPUTS))
+    def test_pinned(self, capsys, command, fmt):
+        rc, out, _ = run(capsys, *command.split(), "--format", fmt)
+        assert rc == 0
+        assert out == MATRIX_OUTPUTS[command][fmt]
 
 
 class TestAutocorr:
@@ -197,6 +244,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["table", "11100", "41"])
         assert info.value.code == 2
+
+    def test_triangle_order_cap(self, capsys):
+        rc, out, err = run(capsys, "triangle", "--j", "2", str(TABLE_ORDER_CAP + 1))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_series_order_cap(self, capsys):
         rc, _, err = run(capsys, "series", "z", "--j", "2", "--order",

@@ -241,3 +241,10 @@ class TestVerifiers:
     def test_two_sided_verifier(self):
         assert verify_a_matrix(family_triangle(2, 9), 2) is True
         assert verify_a_matrix(family_triangle(2, 9), 1) is False
+        for n, k in [(6, 3), (9, 9)]:
+            bumped = [list(row) for row in family_triangle(2, 9).rows]
+            bumped[n][k] += 1
+            assert verify_a_matrix(RiordanTriangle(bumped), 2) is False
+        geo = 1 / u(1, -1, order=9)
+        pascal = from_dh(geo, u(0, 1, order=9) * geo, 9)
+        assert verify_a_matrix(pascal, 2) is False

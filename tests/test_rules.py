@@ -253,6 +253,11 @@ class TestLevelCensus:
         assert census.counts == {(0, 0): 1, (1, 1): 2}
         assert census.count(1, 0) == 0
 
+    def test_levels_outside_range_rejected(self):
+        for level in (-1, 2):
+            with pytest.raises(ValueError):
+                LevelCensus(1, {(0, 0): 1, (level, 0): 1})
+
     def test_matrix_and_rows(self):
         census = expand(avoid_rule(2), 3)
         m = census.matrix()
@@ -269,3 +274,5 @@ class TestLevelCensus:
     def test_level_total(self):
         census = expand(avoid_rule(1), 3)
         assert census.level_total(3) == 8 + 4 + 2 + 1
+        signed = LevelCensus(2, {(0, 0): 1, (2, 0): 3, (2, 1): -5})
+        assert signed.totals() == [1, 0, -2]
