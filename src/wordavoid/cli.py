@@ -36,14 +36,6 @@ def _pattern_arg(text: str) -> str:
     return text
 
 
-def _fmt(args) -> str:
-    if getattr(args, "fmt", None):
-        return args.fmt
-    if getattr(args, "format", None):
-        return args.format
-    return "text"
-
-
 def _emit_series(series: USeries, fmt: str) -> None:
     if fmt == "text":
         print(series.text())
@@ -71,7 +63,7 @@ def cmd_autocorr(args) -> int:
     vector = pattern.autocorrelation(args.pattern)
     terms = pattern.correlation_terms(args.pattern)
     rendered = f"c=({','.join(map(str, vector))}); C={_poly_text(terms)}"
-    if _fmt(args) == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {"c": list(vector), "terms": [list(t) for t in terms]},
@@ -83,50 +75,31 @@ def cmd_autocorr(args) -> int:
     return 0
 
 
+def _check_table_order(order: int) -> None:
+    if not 0 <= order <= TABLE_ORDER_CAP:
+        raise ValueError(f"order must be between 0 and {TABLE_ORDER_CAP}")
+
+
 def cmd_table(args) -> int:
+    _check_table_order(args.order)
     table = pattern.avoider_table(args.pattern, args.order)
-    sys.stdout.write(render_matrix(table.integer_rows(), _fmt(args)))
+    sys.stdout.write(render_matrix(table.integer_rows(), args.format))
     return 0
 
 
-def _triangle_operands(args) -> tuple[str | None, int]:
-    # the pattern, order, and format positionals must be told apart by
-    # hand: argparse cannot mix optional positionals with flags like --j
-    tokens = list(args.tokens)
-    if tokens and tokens[-1] in FORMATS:
-        args.fmt = tokens.pop()
-    if args.j is None:
-        if len(tokens) != 2:
-            raise ValueError("expected: triangle PATTERN ORDER [FORMAT], "
-                             "or triangle --j J ORDER [FORMAT]")
-        bits, order_text = tokens
-        if not bits or set(bits) - {"0", "1"}:
-            raise ValueError("pattern must be a nonempty 0/1 string")
-    else:
-        if len(tokens) != 1:
-            raise ValueError("with --j, expected: triangle --j J ORDER [FORMAT]")
-        bits, order_text = None, tokens[0]
-    try:
-        order = int(order_text)
-    except ValueError:
-        raise ValueError("order must be an integer") from None
-    if not 0 <= order <= TABLE_ORDER_CAP:
-        raise ValueError(f"order must be between 0 and {TABLE_ORDER_CAP}")
-    return bits, order
-
-
 def cmd_triangle(args) -> int:
-    bits, order = _triangle_operands(args)
-    if bits is None and not args.bar:
-        triangle = riordan.family_triangle(args.j, order)
+    if (args.pattern is None) == (args.j is None):
+        raise ValueError("give exactly one of PATTERN and --j")
+    _check_table_order(args.order)
+    if args.pattern is None and not args.bar:
+        triangle = riordan.family_triangle(args.j, args.order)
     else:
-        if bits is None:
-            bits = "1" * (args.j + 1) + "0" * args.j
+        bits = args.pattern or pattern.family_pattern(args.j)
         lower, upper = riordan.triangles_from_table(
-            pattern.avoider_table(bits, order)
+            pattern.avoider_table(bits, args.order)
         )
         triangle = upper if args.bar else lower
-    sys.stdout.write(render_matrix(triangle.rows, _fmt(args)))
+    sys.stdout.write(render_matrix(triangle.rows, args.format))
     return 0
 
 
@@ -139,7 +112,7 @@ def cmd_series(args) -> int:
         "a": riordan.family_a,
         "z": riordan.family_z,
     }[args.kind]
-    _emit_series(maker(args.j, args.order), _fmt(args))
+    _emit_series(maker(args.j, args.order), args.format)
     return 0
 
 
@@ -163,12 +136,12 @@ def cmd_rule(args) -> int:
     else:
         spec = _RULES[args.name]()
     census = rules.expand(spec, args.levels)
-    sys.stdout.write(render_matrix(census.matrix(), _fmt(args)))
+    sys.stdout.write(render_matrix(census.matrix(), args.format))
     return 0
 
 
 def cmd_construct(args) -> int:
-    fmt = _fmt(args)
+    fmt = args.format
     if args.what == "survivors":
         words = sorted(paths.survivors(args.j, args.level))
         if fmt == "json":
@@ -205,7 +178,7 @@ def cmd_verify(args) -> int:
     if args.order > VERIFY_ORDER_CAP:
         raise ValueError(f"order must be at most {VERIFY_ORDER_CAP}")
     results = verify.run_checks(args.j, args.levels, args.order)
-    if _fmt(args) == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 [
@@ -222,10 +195,18 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_format(sub, positional: bool = True) -> None:
-    if positional:
-        sub.add_argument("fmt", nargs="?", choices=FORMATS, default=None)
-    sub.add_argument("--format", choices=FORMATS, default=None)
+def _format_options(argv: list[str]) -> list[str]:
+    """Each bare format word as `--format=WORD`, so that every command takes
+    its format anywhere in its arguments.  No positional can be a format
+    word; a word that is the value of `--format` (or of a prefix argparse
+    would accept for it) is left alone."""
+    out = []
+    prev = ""
+    for word in argv:
+        is_value = len(prev) > 2 and "--format".startswith(prev)
+        out.append(f"--format={word}" if word in FORMATS and not is_value else word)
+        prev = word
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -234,54 +215,49 @@ def _build_parser() -> argparse.ArgumentParser:
         description="count and build binary words avoiding a forbidden factor",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=FORMATS, default="text",
+                        help="output format; a bare csv, json or text word means the same")
 
-    sub = subs.add_parser("autocorr", help="autocorrelation vector and polynomial")
+    def add(name: str, func, summary: str) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, parents=[common], help=summary)
+        sub.set_defaults(func=func)
+        return sub
+
+    sub = add("autocorr", cmd_autocorr, "autocorrelation vector and polynomial")
     sub.add_argument("pattern", type=_pattern_arg)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_autocorr)
 
-    sub = subs.add_parser("table", help="avoider counts by (ones, zeros)")
+    sub = add("table", cmd_table, "avoider counts by (ones, zeros)")
     sub.add_argument("pattern", type=_pattern_arg)
     sub.add_argument("order", type=int)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_table)
 
-    sub = subs.add_parser("triangle", help="avoider triangles")
-    sub.add_argument("tokens", nargs="*", metavar="ARG",
-                     help="PATTERN ORDER [FORMAT], or ORDER [FORMAT] with --j")
-    sub.add_argument("--format", choices=FORMATS, default=None)
+    sub = add("triangle", cmd_triangle, "avoider triangles")
+    sub.add_argument("pattern", nargs="?", type=_pattern_arg,
+                     help="the forbidden factor; omit it when giving --j")
+    sub.add_argument("order", type=int)
     sub.add_argument("--j", type=int, default=None)
     sub.add_argument("--bar", action="store_true", help="emit the upper triangle")
-    sub.set_defaults(func=cmd_triangle, fmt=None)
 
-    sub = subs.add_parser("series", help="family series")
+    sub = add("series", cmd_series, "family series")
     sub.add_argument("kind", choices=("d", "h", "a", "z"))
-    _add_format(sub)
     sub.add_argument("--j", type=int, required=True)
     sub.add_argument("--order", type=int, default=9)
-    sub.set_defaults(func=cmd_series)
 
-    sub = subs.add_parser("rule", help="signed census of a built-in rule")
+    sub = add("rule", cmd_rule, "signed census of a built-in rule")
     sub.add_argument("name", choices=sorted(_RULES))
     sub.add_argument("levels", type=int)
-    _add_format(sub)
     sub.add_argument("--j", type=int, default=None)
-    sub.set_defaults(func=cmd_rule)
 
-    sub = subs.add_parser("construct", help="materialize the path tree")
+    sub = add("construct", cmd_construct, "materialize the path tree")
     sub.add_argument("what", nargs="?", choices=("survivors", "nodes", "census"),
                      default="survivors")
-    _add_format(sub, positional=False)
     sub.add_argument("--j", type=int, required=True)
     sub.add_argument("--level", type=int, required=True)
-    sub.set_defaults(func=cmd_construct)
 
-    sub = subs.add_parser("verify", help="run the consistency battery")
-    _add_format(sub, positional=False)
+    sub = add("verify", cmd_verify, "run the consistency battery")
     sub.add_argument("--j", type=int, required=True)
     sub.add_argument("--levels", type=int, required=True)
     sub.add_argument("--order", type=int, default=12)
-    sub.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -294,16 +270,8 @@ _USAGE_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
-    # argparse fills an optional format positional early, empty, so a format
-    # given after the flags (`series a --j 2 csv`) arrives as a leftover
-    if len(extra) == 1 and extra[0] in FORMATS and getattr(args, "fmt", "") is None:
-        args.fmt = extra.pop()
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    if args.command == "table" and not 0 <= args.order <= TABLE_ORDER_CAP:
-        parser.error(f"order must be between 0 and {TABLE_ORDER_CAP}")
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_format_options(argv))
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .pattern import TooLarge
+from .pattern import TooLarge, family_pattern
 from .rules import PLAIN, ZERO1, ZERO2, Label, LevelCensus
 
 
@@ -59,7 +59,7 @@ def _ordinates(steps: str) -> list[int]:
 def _check_blocks(j: int, steps: str, marks, prev_end: int | None = None) -> None:
     # marks sorted; prev_end is where the last block before them ends
     span = 2 * j + 1
-    block = "1" * (j + 1) + "0" * j
+    block = family_pattern(j)
     for s in marks:
         if s < 0 or s + span > len(steps):
             raise ValueError(f"marked block at {s} leaves the path")
@@ -85,8 +85,7 @@ class AnnotatedPath:
     marks: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.j < 1:
-            raise ValueError("the family parameter j must be >= 1")
+        family_pattern(self.j)
         if set(self.steps) - {"0", "1"}:
             raise ValueError("steps must be a string over 0/1")
         marks = tuple(sorted(self.marks))
@@ -99,7 +98,7 @@ class AnnotatedPath:
 
     @property
     def block(self) -> str:
-        return "1" * (self.j + 1) + "0" * self.j
+        return family_pattern(self.j)
 
     @property
     def rises(self) -> int:
@@ -274,43 +273,38 @@ def _child_labels(k: int, marked: bool) -> tuple[Label, ...]:
 
 
 def _children(node: ConstructionNode, added: tuple[int, ...], body: str,
-              jump: int) -> tuple[list[ConstructionNode], AnnotatedPath]:
-    """The k+3 children of one production, the zero-sub-1 child first, and
-    the hook it was rearranged from: the path of the (1) child, which ends
-    at ordinate 1."""
+              jump: int) -> list[ConstructionNode]:
+    """The k+3 children of one production, the zero-sub-1 child first.  It
+    is rearranged from its hook: the path of the (1) child, which ends at
+    ordinate 1 and comes two places after it."""
     k = node.label.value
     labels = _child_labels(k, node.label.marked != (len(added) % 2 == 1))
     level = node.level + jump
     # the (h) child, and the (0_2) child for h = 0, ends with k + 1 - h falls
     grown = _extend(node.path, body, added, range(k + 1, -1, -1))
-    hook = grown[1]
-    kids = [ConstructionNode(zero1_forward(hook), labels[0], level)]
+    kids = [ConstructionNode(zero1_forward(grown[1]), labels[0], level)]
     kids += [ConstructionNode(p, label, level) for p, label in zip(grown, labels[1:])]
-    return kids, hook
+    return kids
 
 
 def produce_plain(node: ConstructionNode) -> list[ConstructionNode]:
     """The k+3 children one level down: a rise and a tail of falls, with
     the axis-rise child routed through `zero1_forward`."""
-    return _children(node, (), "1", 1)[0]
+    return _children(node, (), "1", 1)
 
 
 def produce_marked(node: ConstructionNode) -> list[ConstructionNode]:
     """The k+3 children j+1 levels down, each gaining one marked block."""
     start = len(node.path.steps)
-    return _children(node, (start,), node.path.block, node.path.j + 1)[0]
+    return _children(node, (start,), node.path.block, node.path.j + 1)
 
 
-def build_tree(j: int, max_level: int, *,
-               hooks: list | None = None) -> list[list[ConstructionNode]]:
+def build_tree(j: int, max_level: int) -> list[list[ConstructionNode]]:
     """Materialize the whole tree, nodes grouped by level 0..max_level.
 
-    Every construction check folds over this one walk.  With a list as
-    `hooks`, every zero-sub-1 child is appended to it as (hook, child), hook
-    being the path `zero1_forward` made the child from.
+    Every construction check folds over this one walk.
     """
-    if j < 1:
-        raise ValueError("the family parameter j must be >= 1")
+    family_pattern(j)
     if max_level < 0:
         raise ValueError("max_level must be non-negative")
     limit = 9 if j == 1 else 8
@@ -318,17 +312,20 @@ def build_tree(j: int, max_level: int, *,
         raise TooLarge(f"levels beyond {limit} for j={j} are too big to build")
     levels: list[list[ConstructionNode]] = [[] for _ in range(max_level + 1)]
     levels[0].append(ConstructionNode(AnnotatedPath(j, ""), Label(0), 0))
-    block = "1" * (j + 1) + "0" * j
     for lv in range(max_level + 1):
         for node in levels[lv]:
-            start = len(node.path.steps)
-            for jump, added, body in ((1, (), "1"), (j + 1, (start,), block)):
+            for jump, produce in ((1, produce_plain), (j + 1, produce_marked)):
                 if lv + jump <= max_level:
-                    kids, hook = _children(node, added, body, jump)
-                    levels[lv + jump].extend(kids)
-                    if hooks is not None:
-                        hooks.append((hook, kids[0]))
+                    levels[lv + jump].extend(produce(node))
     return levels
+
+
+def hooks_of(nodes: list[ConstructionNode]) -> list[tuple[AnnotatedPath, ConstructionNode]]:
+    """(hook, child) for each zero-sub-1 child of one built level, hook
+    being the very path `zero1_forward` made the child from: the path of
+    its (1) sibling, two places after it."""
+    return [(nodes[i + 2].path, node) for i, node in enumerate(nodes)
+            if node.label.variant == ZERO1]
 
 
 def word_census(nodes) -> dict[str, tuple[int, int]]:
@@ -389,7 +386,7 @@ def signed_census(levels: list[list[ConstructionNode]]) -> LevelCensus:
 
 def occurrence_count(word: str, j: int) -> int:
     """Occurrences of the forbidden factor in a word."""
-    block = "1" * (j + 1) + "0" * j
+    block = family_pattern(j)
     return sum(
         1 for i in range(len(word) - len(block) + 1) if word[i : i + len(block)] == block
     )

@@ -55,6 +55,13 @@ def as_pattern(p: "Pattern | str") -> Pattern:
     return p if isinstance(p, Pattern) else Pattern(p)
 
 
+def family_pattern(j: int) -> str:
+    """The family's forbidden factor 1^(j+1) 0^j; j must be at least 1."""
+    if j < 1:
+        raise ValueError("the family parameter j must be >= 1")
+    return "1" * (j + 1) + "0" * j
+
+
 def autocorrelation(p: "Pattern | str") -> tuple[int, ...]:
     """The vector (c_0, ..., c_{h-1}) with c_i = 1 iff the pattern's prefix
     of length h - i equals its suffix of length h - i.  c_0 is always 1."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 
+from .pattern import family_pattern
 from .series import (
     BSeries,
     NonIntegerCoefficient,
@@ -130,8 +131,7 @@ def triangles_from_table(table: BSeries) -> tuple[RiordanTriangle, RiordanTriang
 
 
 def _check_family(j: int, order: int) -> None:
-    if j < 1:
-        raise ValueError("the family parameter j must be >= 1")
+    family_pattern(j)
     if order < j + 1:
         raise ValueError("order too small to see the pattern term")
 
@@ -163,8 +163,7 @@ def family_a_polynomial(j: int) -> list[list[Rational]]:
     """The polynomial (as t-coefficient lists per power of A) whose root
     with constant term 1 is the family's A-sequence:
     (1 - t) A^(j+1) - A^j + t^j = 0."""
-    if j < 1:
-        raise ValueError("the family parameter j must be >= 1")
+    family_pattern(j)
     poly: list[list[Rational]] = [[0] for _ in range(j + 2)]
     poly[0] = [0] * j + [1]
     poly[j] = [-1]
@@ -221,8 +220,7 @@ def verify_recurrence(r: RiordanTriangle, j: int) -> list[Violation]:
     """Check the family row recurrence on every interior entry:
     entry(n+1, k+1) = entry(n, k) + entry(n+1, k+2) - entry(n-j, k),
     with out-of-triangle entries read as zero."""
-    if j < 1:
-        raise ValueError("the family parameter j must be >= 1")
+    family_pattern(j)
     out = []
     for n in range(r.order):
         for k in range(n + 1):
@@ -250,8 +248,7 @@ def verify_a_matrix(r: RiordanTriangle, j: int) -> bool:
     each row: it accepts exactly the triangles that check accepts, so it is
     an independent computation of the same condition, not a stronger check.
     """
-    if j < 1:
-        raise ValueError("the family parameter j must be >= 1")
+    family_pattern(j)
     width = r.order + 2
     suffix = [[0] * width] * j  # suffix[j + n][k] = S(n, k), zero for n < 0
     for row in r.rows:

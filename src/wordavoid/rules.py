@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .pattern import family_pattern
 from .riordan import render_matrix
 
 PLAIN = "plain"
@@ -78,12 +79,6 @@ class LevelCensus:
 
     def count(self, level: int, value: int) -> int:
         return self.counts.get((level, value), 0)
-
-    def level_values(self, level: int) -> list[int]:
-        return sorted(v for (lv, v) in self.counts if lv == level)
-
-    def level_total(self, level: int) -> int:
-        return sum(c for (lv, _), c in self.counts.items() if lv == level)
 
     def totals(self) -> list[int]:
         out = [0] * (self.max_level + 1)
@@ -272,8 +267,7 @@ def avoid_rule(j: int) -> RuleSpec:
     Axiom (0); a node (k) makes k+3 children (0_1)(0_2)(1)...(k+1) one
     level down, and the same k+3 labels all marked j+1 levels down.
     """
-    if j < 1:
-        raise ValueError("the family parameter j must be >= 1")
+    family_pattern(j)
 
     def produce(k: int) -> tuple[Production, ...]:
         labels = (Label(0, ZERO1), Label(0, ZERO2)) + tuple(

@@ -400,17 +400,6 @@ class BSeries:
             ]
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, BSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return BSeries(
-            [
-                [self.grid[i][j] - other.grid[i][j] for j in range(n + 1)]
-                for i in range(n + 1)
-            ]
-        )
-
     def __mul__(self, other):
         if not isinstance(other, BSeries):
             return NotImplemented

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pattern import avoider_table, avoiding_words
+from .pattern import avoider_table, avoiding_words, family_pattern
 from .paths import (
     build_tree,
+    hooks_of,
     net_survivors,
     occurrence_count,
     signed_census,
@@ -55,12 +56,10 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
     `levels` bounds the materialized tree (and so the survivor scales);
     `triangle_order` bounds the series and triangle checks.
     """
-    if j < 1:
-        raise ValueError("the family parameter j must be >= 1")
+    pattern = family_pattern(j)
     if levels < 0 or triangle_order < max(levels, j + 1):
         raise ValueError("need triangle_order >= levels and > j")
     out = []
-    pattern = "1" * (j + 1) + "0" * j
 
     triangle = family_triangle(j, triangle_order)
     bad = verify_recurrence(triangle, j)
@@ -90,8 +89,7 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
     got = [tuple(r) for r in census.triangle_rows()]
     out.append(_result("rule-census", got == rows, "census differs from triangle"))
 
-    hooks: list = []
-    tree = build_tree(j, levels, hooks=hooks)
+    tree = build_tree(j, levels)
     out.append(
         _result("construction-census", signed_census(tree) == census,
                 "tree census differs from rule census")
@@ -118,6 +116,7 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
     out.append(_result("copies-law", not bad_copies, f"first issues: {bad_copies[:3]}"))
 
     # every hook the build fed to zero1_forward, against its zero-sub-1 child
-    bad_trips = [hook.steps for hook, child in hooks if zero1_inverse(child.path) != hook]
+    bad_trips = [hook.steps for nodes in tree for hook, child in hooks_of(nodes)
+                 if zero1_inverse(child.path) != hook]
     out.append(_result("round-trip", not bad_trips, f"first issues: {bad_trips[:3]}"))
     return out

@@ -117,6 +117,56 @@ class TestMatrixOutput:
         assert out == MATRIX_OUTPUTS[command][fmt]
 
 
+# (subcommand, positionals, flags) of each command whose output the format
+# changes; the `--format F` form of the matrix commands is pinned above
+GRAMMAR_COMMANDS = [
+    ("table", ["11100", "4"], []),
+    ("triangle", ["4"], ["--j", "2"]),
+    ("triangle", ["11100", "4"], []),
+    ("triangle", ["11100", "4"], ["--bar"]),
+    ("series", ["a"], ["--j", "2", "--order", "6"]),
+    ("rule", ["avoid", "4"], ["--j", "2"]),
+    ("construct", ["census"], ["--j", "1", "--level", "4"]),
+    ("verify", [], ["--j", "2", "--levels", "3"]),
+]
+
+
+class TestFormatGrammar:
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("name,positionals,flags", GRAMMAR_COMMANDS)
+    def test_one_format_anywhere(self, capsys, name, positionals, flags, fmt):
+        forms = {
+            "after the positionals": [name, *positionals, fmt, *flags],
+            "after the flags": [name, *positionals, *flags, fmt],
+            "before the flags": [name, fmt, *flags, *positionals],
+            "--format F": [name, *positionals, *flags, "--format", fmt],
+            "--format=F": [name, f"--format={fmt}", *positionals, *flags],
+        }
+        outputs = {}
+        for form, argv in forms.items():
+            rc, out, err = run(capsys, *argv)
+            assert rc == 0, (form, err)
+            outputs[form] = out
+        assert len(set(outputs.values())) == 1, outputs
+        assert outputs["--format F"]
+
+    def test_last_format_wins(self, capsys):
+        pinned = MATRIX_OUTPUTS["rule avoid 4 --j 2"]
+        for argv, fmt in [
+            (["csv", "--j", "2", "--format", "json"], "json"),
+            (["--format", "json", "--j", "2", "csv"], "csv"),
+            (["json", "csv", "--j", "2"], "csv"),
+        ]:
+            assert run(capsys, "rule", "avoid", "4", *argv)[1] == pinned[fmt], argv
+        _, out, _ = run(capsys, "series", "a", "--j", "2", "csv", "--format", "json")
+        assert out == "[1,1,0,2,-1,7,-12,38,-99,281]\n"
+
+    def test_abbreviated_option_takes_the_word(self, capsys):
+        pinned = MATRIX_OUTPUTS["table 11100 4"]
+        assert run(capsys, "table", "11100", "4", "--form", "json")[1] == pinned["json"]
+        assert run(capsys, "table", "--f", "csv", "11100", "4")[1] == pinned["csv"]
+
+
 class TestAutocorr:
     def test_periodic_pattern(self, capsys):
         rc, out, _ = run(capsys, "autocorr", "101010")
@@ -241,12 +291,19 @@ class TestUsageErrors:
         assert info.value.code == 2
 
     def test_order_cap(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["table", "11100", "41"])
-        assert info.value.code == 2
+        rc, out, err = run(capsys, "table", "11100", str(TABLE_ORDER_CAP + 1))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_triangle_order_cap(self, capsys):
         rc, out, err = run(capsys, "triangle", "--j", "2", str(TABLE_ORDER_CAP + 1))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_bar_family_needs_positive_j(self, capsys):
+        rc, out, err = run(capsys, "triangle", "--bar", "--j", "0", "3")
         assert rc == 2
         assert out == ""
         assert err.startswith("error:")

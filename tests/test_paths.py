@@ -18,6 +18,7 @@ from wordavoid.paths import (
     build_tree,
     complement,
     copies_census,
+    hooks_of,
     net_survivors,
     node_json,
     occurrence_count,
@@ -216,8 +217,8 @@ class TestInverseMap:
 class TestRoundTrip:
     @pytest.mark.parametrize("j,levels", [(1, 5), (2, 5)])
     def test_hooks_recovered_exactly(self, j, levels):
-        reported = []
-        tree = build_tree(j, levels, hooks=reported)
+        tree = build_tree(j, levels)
+        reported = [pair for level_nodes in tree for pair in hooks_of(level_nodes)]
         block = "1" * (j + 1) + "0" * j
         checked = 0
         rebuilt = []
@@ -399,3 +400,5 @@ class TestCopiesLaw:
         assert occurrence_count("11011011", 1) == 2
         assert occurrence_count("111", 1) == 0
         assert occurrence_count("1110011100", 2) == 2
+        with pytest.raises(ValueError):
+            occurrence_count("111", 0)

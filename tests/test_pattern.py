@@ -16,6 +16,7 @@ from wordavoid.pattern import (
     correlation_terms,
     count_by_automaton,
     count_by_enumeration,
+    family_pattern,
 )
 
 
@@ -38,6 +39,12 @@ class TestPattern:
         p = Pattern("10")
         assert as_pattern(p) is p
         assert as_pattern("10") == p
+
+    def test_family_pattern(self):
+        assert [family_pattern(j) for j in (1, 2, 3)] == ["110", "11100", "1111000"]
+        for j in (0, -1):
+            with pytest.raises(ValueError, match="j must be >= 1"):
+                family_pattern(j)
 
 
 class TestAutocorrelation:
