@@ -2,6 +2,8 @@
 
 Subcommands expose the avoider table, the two triangles, the family's
 series, rule censuses, the path construction, and the consistency battery.
+This is the one module that turns results into text; the library returns
+checked integers.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors (including sizes beyond the built-in guards).
 """
@@ -13,7 +15,6 @@ import json
 import sys
 
 from . import paths, pattern, riordan, rules, verify
-from .riordan import render_matrix
 from .series import USeries
 
 FORMATS = ("csv", "json", "text")
@@ -36,6 +37,22 @@ def _pattern_arg(text: str) -> str:
     return text
 
 
+def _json(value) -> str:
+    """Compact JSON, the form of every json output."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+def render_matrix(rows, fmt: str) -> str:
+    """Integer rows as text: `csv` lines, one compact `json` array, or
+    right-aligned `text` columns.  Every format ends in a newline."""
+    if fmt == "csv":
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    if fmt == "json":
+        return _json(rows) + "\n"
+    width = max((len(str(c)) for row in rows for c in row), default=1)
+    return "".join(" ".join(str(c).rjust(width) for c in row) + "\n" for row in rows)
+
+
 def _emit_series(series: USeries, fmt: str) -> None:
     if fmt == "text":
         print(series.text())
@@ -44,7 +61,7 @@ def _emit_series(series: USeries, fmt: str) -> None:
     if fmt == "csv":
         print(",".join(map(str, coeffs)))
     else:
-        print(json.dumps(coeffs, separators=(",", ":")))
+        print(_json(coeffs))
 
 
 def _poly_text(terms: list[tuple[int, int]]) -> str:
@@ -64,12 +81,7 @@ def cmd_autocorr(args) -> int:
     terms = pattern.correlation_terms(args.pattern)
     rendered = f"c=({','.join(map(str, vector))}); C={_poly_text(terms)}"
     if args.format == "json":
-        print(
-            json.dumps(
-                {"c": list(vector), "terms": [list(t) for t in terms]},
-                separators=(",", ":"),
-            )
-        )
+        print(_json({"c": list(vector), "terms": [list(t) for t in terms]}))
     else:
         print(rendered)
     return 0
@@ -140,34 +152,33 @@ def cmd_rule(args) -> int:
     return 0
 
 
+def _node_csv(n: dict) -> str:
+    label = n["label"]
+    marks = ";".join(map(str, n["marks"]))
+    return f"{n['word']},{marks},{label['value']},{label['variant']},{label['marked']}"
+
+
 def cmd_construct(args) -> int:
     fmt = args.format
     if args.what == "survivors":
         words = sorted(paths.survivors(args.j, args.level))
         if fmt == "json":
-            print(json.dumps(words, separators=(",", ":")))
+            print(_json(words))
         else:
             sys.stdout.write("".join(w + "\n" for w in words))
     elif args.what == "nodes":
-        nodes = [paths.node_json(n) for n in paths.build_tree(args.j, args.level)[args.level]]
+        # one node at a time: the level's serialized form is never held whole
+        nodes = map(paths.node_json, paths.build_tree(args.j, args.level)[args.level])
+        write = sys.stdout.write
         if fmt == "json":
-            print(json.dumps(nodes, separators=(",", ":")))
-        elif fmt == "csv":
-            sys.stdout.write(
-                "".join(
-                    "{},{},{},{},{}\n".format(
-                        n["word"],
-                        ";".join(map(str, n["marks"])),
-                        n["label"]["value"],
-                        n["label"]["variant"],
-                        n["label"]["marked"],
-                    )
-                    for n in nodes
-                )
-            )
+            write("[")
+            for i, n in enumerate(nodes):
+                write("," + _json(n) if i else _json(n))
+            write("]\n")
         else:
+            line = _node_csv if fmt == "csv" else _json
             for n in nodes:
-                print(json.dumps(n, separators=(",", ":")))
+                write(line(n) + "\n")
     else:
         census = paths.signed_census(paths.build_tree(args.j, args.level))
         sys.stdout.write(render_matrix(census.matrix(), fmt))
@@ -179,15 +190,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"order must be at most {VERIFY_ORDER_CAP}")
     results = verify.run_checks(args.j, args.levels, args.order)
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-                separators=(",", ":"),
-            )
-        )
+        print(_json([{"name": r.name, "passed": r.passed, "detail": r.detail}
+                     for r in results]))
     else:
         for r in results:
             line = f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}"

@@ -6,48 +6,30 @@ d(0) != 0, h(0) = 0, h'(0) != 0.  The triangle of words avoiding the factor
 '1' * (j+1) + '0' * j, with entry (n, k) counting avoiders with n ones and
 n - k zeros, is Riordan with closed-form d and h; this module builds the
 pair, extracts the row-recurrence sequences, and verifies the recurrences
-the triangle must satisfy.  `render_matrix` prints every integer matrix the
-package emits: tables, triangles and censuses.
+the triangle must satisfy.
 """
 
 from __future__ import annotations
 
-import json
-
 from .pattern import family_pattern
-from .series import (
-    BSeries,
-    NonIntegerCoefficient,
-    Rational,
-    USeries,
-    solve_polynomial,
-)
+from .series import BSeries, Rational, USeries, integer_row, solve_polynomial
 
 
 class NotProper(Exception):
     """The series pair does not define a proper Riordan triangle."""
 
 
-def render_matrix(rows, fmt: str) -> str:
-    """Integer rows as text: `csv` lines, one compact `json` array, or
-    right-aligned `text` columns.  Every format ends in a newline."""
-    if fmt == "csv":
-        return "".join(",".join(map(str, row)) + "\n" for row in rows)
-    if fmt == "json":
-        return json.dumps(rows, separators=(",", ":")) + "\n"
-    width = max((len(str(c)) for row in rows for c in row), default=1)
-    return "".join(" ".join(str(c).rjust(width) for c in row) + "\n" for row in rows)
-
-
 class RiordanTriangle:
-    """A lower-triangular integer matrix; row n holds entries k = 0..n."""
+    """A lower-triangular integer matrix; row n holds entries k = 0..n.
+    Entries must be exact integers: a fractional one raises
+    `NonIntegerCoefficient`, anything else not exact raises `TypeError`."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
         norm = []
         for n, row in enumerate(rows):
-            entries = [int(c) for c in row]
+            entries = integer_row(row, lambda k: f"entry ({n}, {k})")
             if len(entries) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
             norm.append(tuple(entries))
@@ -64,12 +46,6 @@ class RiordanTriangle:
         if 0 <= k <= n <= self.order:
             return self.rows[n][k]
         return 0
-
-    def to_csv(self) -> str:
-        return render_matrix(self.rows, "csv")
-
-    def to_json(self) -> str:
-        return render_matrix(self.rows, "json").rstrip("\n")
 
     def __eq__(self, other):
         if not isinstance(other, RiordanTriangle):
@@ -94,10 +70,7 @@ def from_dh(d: USeries, h: USeries, order: int) -> RiordanTriangle:
     h = USeries(h.coeffs, order=order)
     for k in range(order + 1):
         for n in range(k, order + 1):
-            c = col.coeff(n)
-            if c.denominator != 1:
-                raise NonIntegerCoefficient(f"entry ({n}, {k}) is {c}")
-            rows[n][k] = c
+            rows[n][k] = col.coeff(n)
         col = col * h
     return RiordanTriangle(rows)
 
@@ -110,20 +83,9 @@ def triangles_from_table(table: BSeries) -> tuple[RiordanTriangle, RiordanTriang
     half: entry (n, k) = table (n-k, n).  Both share column zero, the
     table's main diagonal.
     """
-    n_max = table.order
-    lower = []
-    upper = []
-    for n in range(n_max + 1):
-        lo, up = [], []
-        for k in range(n + 1):
-            a = table.entry(n, n - k)
-            b = table.entry(n - k, n)
-            if a.denominator != 1 or b.denominator != 1:
-                raise NonIntegerCoefficient(f"non-integer table entry at n={n}")
-            lo.append(a)
-            up.append(b)
-        lower.append(lo)
-        upper.append(up)
+    rows = range(table.order + 1)
+    lower = [[table.entry(n, n - k) for k in range(n + 1)] for n in rows]
+    upper = [[table.entry(n - k, n) for k in range(n + 1)] for n in rows]
     return RiordanTriangle(lower), RiordanTriangle(upper)
 
 
@@ -213,7 +175,8 @@ def d_from_z(d0: Rational, z: USeries, h: USeries) -> USeries:
 
 # -- recurrence verification ---------------------------------------------------
 
-Violation = tuple[int, int, int, int]  # (n, k, actual, expected)
+# (n, k, actual, expected); a rational A-sequence makes `expected` rational
+Violation = tuple[int, int, int, Rational]
 
 
 def verify_recurrence(r: RiordanTriangle, j: int) -> list[Violation]:
@@ -274,5 +237,5 @@ def verify_a_sequence(r: RiordanTriangle, a: USeries) -> list[Violation]:
             want = sum(a.coeff(i) * r.entry(n, k + i) for i in range(n - k + 1))
             got = r.entry(n + 1, k + 1)
             if got != want:
-                out.append((n + 1, k + 1, got, int(want)))
+                out.append((n + 1, k + 1, got, want))
     return out

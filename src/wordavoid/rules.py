@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .pattern import family_pattern
-from .riordan import render_matrix
 
 PLAIN = "plain"
 ZERO1 = "zero1"
@@ -102,12 +101,6 @@ class LevelCensus:
             [self.count(lv, v) for v in range(lv + 1)]
             for lv in range(self.max_level + 1)
         ]
-
-    def to_csv(self) -> str:
-        return render_matrix(self.matrix(), "csv")
-
-    def to_json(self) -> str:
-        return render_matrix(self.matrix(), "json").rstrip("\n")
 
     def __eq__(self, other):
         if not isinstance(other, LevelCensus):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Rational = int | Fraction
 
@@ -53,6 +53,17 @@ def _frac(value: Rational) -> Rational:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def integer_row(values: Iterable[Rational], where: Callable[[int], str]) -> list[int]:
+    """The values as plain ints, the one integrality gate of the package: a
+    fractional value raises `NonIntegerCoefficient` naming `where(i)` of the
+    first one, and a value that is not an exact rational raises `TypeError`."""
+    row = [_frac(c) for c in values]
+    for i, c in enumerate(row):
+        if c.denominator != 1:
+            raise NonIntegerCoefficient(f"{where(i)} is {c}")
+    return row
 
 
 def _div(a: Rational, b: Rational) -> Rational:
@@ -239,10 +250,7 @@ class USeries:
 
     def integer_coeffs(self) -> list[int]:
         """Coefficients as plain ints; a fractional one is a hard error."""
-        for n, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise NonIntegerCoefficient(f"coefficient of t^{n} is {c}")
-        return list(self.coeffs)
+        return integer_row(self.coeffs, lambda n: f"coefficient of t^{n}")
 
     def text(self) -> str:
         """Canonical rendering: every term, `c0 + c1*t + c2*t^2 + ...`."""
@@ -442,11 +450,8 @@ class BSeries:
 
     def integer_rows(self) -> list[list[int]]:
         """The grid as plain ints; a fractional entry is a hard error."""
-        for n, row in enumerate(self.grid):
-            for k, c in enumerate(row):
-                if c.denominator != 1:
-                    raise NonIntegerCoefficient(f"entry ({n}, {k}) is {c}")
-        return [list(row) for row in self.grid]
+        return [integer_row(row, lambda k: f"entry ({n}, {k})")
+                for n, row in enumerate(self.grid)]
 
     def __eq__(self, other):
         if not isinstance(other, BSeries):

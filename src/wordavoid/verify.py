@@ -46,7 +46,7 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
+def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, passed, "" if passed else detail)
 
 
@@ -64,8 +64,10 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
     triangle = family_triangle(j, triangle_order)
     bad = verify_recurrence(triangle, j)
     out.append(_result("row-recurrence", not bad, f"{len(bad)} violations"))
-    out.append(_result("column-doubling", verify_column_doubling(triangle)))
-    out.append(_result("two-row-recurrence", verify_a_matrix(triangle, j)))
+    out.append(_result("column-doubling", verify_column_doubling(triangle),
+                       "column 0 is not twice column 1"))
+    out.append(_result("two-row-recurrence", verify_a_matrix(triangle, j),
+                       "the A-matrix identity fails"))
 
     a_poly = family_a(j, triangle_order - 1)
     a_h = a_sequence_from_h(family_h(j, triangle_order))
@@ -79,10 +81,12 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
     )
 
     rebuilt = d_from_z(1, family_z(j, triangle_order - 1), family_h(j, triangle_order))
-    out.append(_result("z-sequence", rebuilt == family_d(j, triangle_order)))
+    out.append(_result("z-sequence", rebuilt == family_d(j, triangle_order),
+                       "d rebuilt from Z differs from d"))
 
     lower, _ = triangles_from_table(avoider_table(pattern, triangle_order))
-    out.append(_result("table-agreement", lower == triangle))
+    out.append(_result("table-agreement", lower == triangle,
+                       "table triangle differs from closed form"))
 
     census = expand(avoid_rule(j), levels)
     rows = [triangle.rows[n] for n in range(levels + 1)]

@@ -76,6 +76,23 @@ class TestGoldenOutputs:
         assert first == second
 
 
+# level 2 of the j = 1 tree, one node_json line each, marked nodes first
+NODES_J1_L2 = [
+    '{"word":"0110","marks":[1],"label":{"value":0,"variant":"zero1","marked":true},"level":2}',
+    '{"word":"1100","marks":[0],"label":{"value":0,"variant":"zero2","marked":true},"level":2}',
+    '{"word":"110","marks":[0],"label":{"value":1,"variant":"plain","marked":true},"level":2}',
+    '{"word":"0101","marks":[],"label":{"value":0,"variant":"zero1","marked":false},"level":2}',
+    '{"word":"0110","marks":[],"label":{"value":0,"variant":"zero2","marked":false},"level":2}',
+    '{"word":"011","marks":[],"label":{"value":1,"variant":"plain","marked":false},"level":2}',
+    '{"word":"1001","marks":[],"label":{"value":0,"variant":"zero1","marked":false},"level":2}',
+    '{"word":"1010","marks":[],"label":{"value":0,"variant":"zero2","marked":false},"level":2}',
+    '{"word":"101","marks":[],"label":{"value":1,"variant":"plain","marked":false},"level":2}',
+    '{"word":"0011","marks":[],"label":{"value":0,"variant":"zero1","marked":false},"level":2}',
+    '{"word":"1100","marks":[],"label":{"value":0,"variant":"zero2","marked":false},"level":2}',
+    '{"word":"110","marks":[],"label":{"value":1,"variant":"plain","marked":false},"level":2}',
+    '{"word":"11","marks":[],"label":{"value":2,"variant":"plain","marked":false},"level":2}',
+]
+
 MATRIX_OUTPUTS = {
     "table 11100 4": {
         "csv": "1,1,1,1,1\n1,2,3,4,5\n1,3,6,10,15\n1,4,9,18,32\n1,5,13,29,58\n",
@@ -104,6 +121,17 @@ MATRIX_OUTPUTS = {
         "json": "[[1,0,0,0,0],[2,1,0,0,0],[4,2,1,0,0],[8,4,2,1,0],[16,8,4,2,1]]\n",
         "text": " 1  0  0  0  0\n 2  1  0  0  0\n 4  2  1  0  0\n 8  4  2  1  0\n"
                 "16  8  4  2  1\n",
+    },
+    "construct nodes --j 1 --level 2": {
+        "csv": (
+            "0110,1,0,zero1,True\n1100,0,0,zero2,True\n110,0,1,plain,True\n"
+            "0101,,0,zero1,False\n0110,,0,zero2,False\n011,,1,plain,False\n"
+            "1001,,0,zero1,False\n1010,,0,zero2,False\n101,,1,plain,False\n"
+            "0011,,0,zero1,False\n1100,,0,zero2,False\n110,,1,plain,False\n"
+            "11,,2,plain,False\n"
+        ),
+        "json": "[" + ",".join(NODES_J1_L2) + "]\n",
+        "text": "".join(line + "\n" for line in NODES_J1_L2),
     },
 }
 

@@ -1,7 +1,9 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from wordavoid.cli import render_matrix
 from wordavoid.pattern import avoider_table
 from wordavoid.riordan import (
     NotProper,
@@ -53,8 +55,22 @@ class TestTriangleType:
 
     def test_serialization(self):
         r = RiordanTriangle([[1], [2, 1], [6, 3, 1]])
-        assert r.to_csv() == "1\n2,1\n6,3,1\n"
-        assert r.to_json() == '[[1],[2,1],[6,3,1]]'
+        assert render_matrix(r.rows, "csv") == "1\n2,1\n6,3,1\n"
+        assert render_matrix(r.rows, "json") == '[[1],[2,1],[6,3,1]]\n'
+
+    def test_fractional_entry_rejected(self):
+        with pytest.raises(NonIntegerCoefficient, match=r"entry \(1, 0\) is 3/2"):
+            RiordanTriangle([[1], [Fraction(3, 2), 1]])
+
+    @pytest.mark.parametrize("value", [1.9, "3", True])
+    def test_inexact_entry_rejected(self, value):
+        with pytest.raises(TypeError):
+            RiordanTriangle([[value]])
+
+    def test_integral_fraction_becomes_int(self):
+        r = RiordanTriangle([[Fraction(4, 2)]])
+        assert r.rows == ((2,),)
+        assert type(r.rows[0][0]) is int
 
     def test_equality(self):
         assert RiordanTriangle([[1]]) == RiordanTriangle([[1]])
@@ -188,6 +204,12 @@ class TestASequence:
     def test_requires_enough_coefficients(self):
         with pytest.raises(ValueError):
             verify_a_sequence(family_triangle(2, 9), family_a(2, 3))
+
+    def test_rational_expected_value_reported_exactly(self):
+        pascal = RiordanTriangle([[1], [1, 1], [1, 2, 1]])
+        half = Fraction(1, 2)
+        bad = verify_a_sequence(pascal, u(half, half, order=1))
+        assert bad == [(1, 1, 1, half), (2, 1, 2, 1), (2, 2, 1, half)]
 
 
 class TestZSequence:

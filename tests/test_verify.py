@@ -1,5 +1,8 @@
 import pytest
 
+from wordavoid import verify
+from wordavoid.rules import LevelCensus
+from wordavoid.series import USeries
 from wordavoid.verify import CheckResult, run_checks
 
 EXPECTED_CHECKS = [
@@ -40,3 +43,47 @@ class TestRunChecks:
         r = CheckResult("x", True)
         with pytest.raises(AttributeError):
             r.passed = False
+
+
+def _bump_series(s):
+    return USeries([s.coeff(0) + 1, *s.coeffs[1:]], order=s.order)
+
+
+def _bump_census(census):
+    return LevelCensus(census.max_level,
+                       {**census.counts, (0, 0): census.count(0, 0) + 1})
+
+
+def _result_made(wrong):
+    """A mutant that applies `wrong` to the real function's result."""
+    return lambda real: lambda *args: wrong(real(*args))
+
+
+# (check, the function of wordavoid.verify it reads, that function's mutant)
+MUTANTS = [
+    ("row-recurrence", "verify_recurrence", _result_made(lambda bad: bad + [(1, 1, 0, 0)])),
+    ("column-doubling", "verify_column_doubling", _result_made(lambda ok: False)),
+    ("two-row-recurrence", "verify_a_matrix", _result_made(lambda ok: False)),
+    ("a-sequence", "a_sequence_from_h", _result_made(_bump_series)),
+    ("a-sequence", "verify_a_sequence", _result_made(lambda bad: bad + [(1, 1, 0, 0)])),
+    ("z-sequence", "d_from_z", _result_made(_bump_series)),
+    ("table-agreement", "triangles_from_table", _result_made(lambda pair: pair[::-1])),
+    ("rule-census", "expand", _result_made(_bump_census)),
+    ("construction-census", "signed_census", _result_made(_bump_census)),
+    ("survivors", "avoiding_words", _result_made(lambda words: words | {"2"})),
+    ("copies-law", "occurrence_count", _result_made(lambda c: c + 1)),
+    ("round-trip", "zero1_inverse", lambda real: lambda path: path),
+]
+
+
+class TestEveryCheckCanFail:
+    def test_every_check_has_a_mutant(self):
+        assert {check for check, _, _ in MUTANTS} == set(EXPECTED_CHECKS)
+
+    @pytest.mark.parametrize("check,name,mutant", MUTANTS,
+                             ids=[f"{check}-{name}" for check, name, _ in MUTANTS])
+    def test_mutant_caught(self, monkeypatch, check, name, mutant):
+        monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
+        result = {r.name: r for r in run_checks(2, 4)}[check]
+        assert not result.passed
+        assert result.detail
