@@ -21,10 +21,12 @@ FORMATS = ("csv", "json", "text")
 
 # Caps on user-sized inputs.  The slowest call at each cap, min of 3 in
 # process (Python 3.11, 2-CPU Linux VM): avoider_table at order 40 about
-# 0.02 s; family_z and family_a at series order 100 about 0.09 s; run_checks
-# at verify order 80 with two levels about 0.37 s for any j; expand of the
-# avoid rule at 300 levels about 0.09 s.  A rule census prints (L+1)^2 big
-# integers, which also bounds its cap.
+# 0.017 s for a long self-overlapping pattern such as (10)^20, whose divisor
+# has the most terms, and 0.006 s for a 7-letter one; family_z and family_a
+# at series order 100 about 0.09 s; run_checks at verify order 80 with two
+# levels about 0.37 s for any j; expand of the avoid rule at 300 levels
+# about 0.09 s.  A rule census prints (L+1)^2 big integers, which also
+# bounds its cap.
 TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100
 VERIFY_ORDER_CAP = 80

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .series import BSeries
 
@@ -102,7 +103,8 @@ def avoider_table(p: "Pattern | str", order: int) -> BSeries:
     Computed as C / ((1 - x - y) C + x^a y^b) with C the correlation
     polynomial and (a, b) the pattern's letter counts.  Exact on the whole
     grid for any order: terms that fall off the grid cannot influence the
-    retained entries.
+    retained entries.  The divisor has t <= 3|C| + 1 nonzero terms, and the
+    division visits only those, so the table costs O(order^2 * t).
     """
     p = as_pattern(p)
     c = BSeries.from_terms({t: 1 for t in correlation_terms(p)}, order)
@@ -180,28 +182,34 @@ def _transitions(bits: str) -> list[list[int]]:
 def count_by_automaton(p: "Pattern | str", ones: int, zeros: int) -> int:
     """Avoider count by dynamic programming over the pattern's prefix
     automaton, with the full-match state forbidden.  Polynomial in the
-    letter counts, so no size guard is needed."""
+    letter counts, so no size guard is needed.
+
+    Only the live transitions enter the sweep: for each letter, the
+    (state, next) pairs that do not complete a match.  The cells with i
+    ones form row i, held as one list over the zero count per state.  Each
+    row is swept once: its zeros are pushed along it cell by cell, then its
+    ones are pushed into the next row a whole state list at a time, so the
+    cost is O(ones * zeros * live transitions).
+    """
     p = as_pattern(p)
     if ones < 0 or zeros < 0:
         raise ValueError("letter counts must be non-negative")
-    bits = p.bits
-    h = len(bits)
-    trans = _transitions(bits)
-    dp = [[[0] * h for _ in range(zeros + 1)] for _ in range(ones + 1)]
-    dp[0][0][0] = 1
+    h = len(p.bits)
+    trans = _transitions(p.bits)
+    on_zero = [(s, t[0]) for s, t in enumerate(trans) if t[0] < h]
+    on_one = [(s, t[1]) for s, t in enumerate(trans) if t[1] < h]
+    # row[s][z]: words with i ones and z zeros that end in state s
+    row = [[0] * (zeros + 1) for _ in range(h)]
+    row[0][0] = 1
     for i in range(ones + 1):
-        for z in range(zeros + 1):
-            row = dp[i][z]
-            for s in range(h):
-                c = row[s]
-                if not c:
-                    continue
-                if i < ones:
-                    t = trans[s][1]
-                    if t < h:
-                        dp[i + 1][z][t] += c
-                if z < zeros:
-                    t = trans[s][0]
-                    if t < h:
-                        dp[i][z + 1][t] += c
-    return sum(dp[ones][zeros])
+        pairs = [(row[s], row[t]) for s, t in on_zero]
+        for z in range(zeros):
+            for src, dst in pairs:
+                dst[z + 1] += src[z]
+        if i == ones:
+            break
+        nxt = [[0] * (zeros + 1) for _ in range(h)]
+        for s, t in on_one:
+            nxt[t] = list(map(add, nxt[t], row[s]))
+        row = nxt
+    return sum(states[zeros] for states in row)

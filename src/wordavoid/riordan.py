@@ -12,7 +12,7 @@ the triangle must satisfy.
 from __future__ import annotations
 
 from .pattern import family_pattern
-from .series import BSeries, Rational, USeries, integer_row, solve_polynomial
+from .series import BSeries, Rational, USeries, _frac, integer_row, solve_polynomial
 
 
 class NotProper(Exception):
@@ -234,7 +234,8 @@ def verify_a_sequence(r: RiordanTriangle, a: USeries) -> list[Violation]:
     out = []
     for n in range(r.order):
         for k in range(n + 1):
-            want = sum(a.coeff(i) * r.entry(n, k + i) for i in range(n - k + 1))
+            terms = (a.coeff(i) * r.entry(n, k + i) for i in range(n - k + 1))
+            want = _frac(sum(terms))
             got = r.entry(n + 1, k + 1)
             if got != want:
                 out.append((n + 1, k + 1, got, want))

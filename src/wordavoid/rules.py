@@ -151,7 +151,9 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
     For a rule whose consecutive rows differ in O(1) entries, as every
     built-in rule's do, a level then costs O(values) updates and the whole
     census O(levels^2), not O(levels^3).  `produce` is called once for each
-    value reached with a nonzero net count, and for no other value.
+    value reached with a nonzero net count, and for no other value; the
+    avoid rule's rows come from O(levels) labels in all, since its `produce`
+    grows each value's labels from the previous value's.
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
@@ -258,17 +260,22 @@ def avoid_rule(j: int) -> RuleSpec:
     """The rule whose census triangle counts avoiders of 1^(j+1) 0^j.
 
     Axiom (0); a node (k) makes k+3 children (0_1)(0_2)(1)...(k+1) one
-    level down, and the same k+3 labels all marked j+1 levels down.
+    level down, and the same k+3 labels all marked j+1 levels down.  The
+    rule keeps each value's two label tuples and grows the next value's
+    from them by one label, so expanding it to L levels builds O(L) labels.
     """
     family_pattern(j)
+    # plain[v] is (0_1)(0_2)(1)...(v), marked[v] its marked twin
+    plain = [(Label(0, ZERO1), Label(0, ZERO2))]
+    marked = [tuple(lab.flipped() for lab in plain[0])]
 
     def produce(k: int) -> tuple[Production, ...]:
-        labels = (Label(0, ZERO1), Label(0, ZERO2)) + tuple(
-            Label(v) for v in range(1, k + 2)
-        )
-        return (
-            Production(1, labels),
-            Production(j + 1, tuple(lab.flipped() for lab in labels)),
-        )
+        if k < 0:
+            raise ValueError("label values are non-negative")
+        while len(plain) < k + 2:
+            v = len(plain)
+            plain.append(plain[-1] + (Label(v),))
+            marked.append(marked[-1] + (Label(v, marked=True),))
+        return (Production(1, plain[k + 1]), Production(j + 1, marked[k + 1]))
 
     return RuleSpec(f"avoid-j{j}", Label(0), produce)

@@ -428,24 +428,43 @@ class BSeries:
         return BSeries(out)
 
     def __truediv__(self, other):
+        """The quotient on the common grid 0..n, n the smaller order.
+
+        Cell (i, j) is (a[i][j] - sum of b[p][r] * q[i-p][j-r]) / b[0][0],
+        the sum running over the divisor's t nonzero terms other than the
+        constant one, collected once.  Earlier rows are subtracted a whole
+        row per term, then the row's own terms (p = 0) are solved left to
+        right, so the division costs O(n^2 * t), not O(n^4).
+        """
         if not isinstance(other, BSeries):
             return NotImplemented
-        if other.grid[0][0] == 0:
+        b00 = other.grid[0][0]
+        if b00 == 0:
             raise ZeroConstantTerm("division needs a unit constant term")
         n = min(self.order, other.order)
-        b00 = other.grid[0][0]
-        q = [[0] * (n + 1) for _ in range(n + 1)]
+        same_row = [(r, b) for r, b in enumerate(other.grid[0][1 : n + 1], 1) if b]
+        earlier = [
+            (p, r, b)
+            for p in range(1, n + 1)
+            for r, b in enumerate(other.grid[p][: n + 1])
+            if b
+        ]
+        q: list[list[Rational]] = []
         for i in range(n + 1):
-            for j in range(n + 1):
-                acc = self.grid[i][j]
-                for p in range(i + 1):
-                    brow = other.grid[p]
-                    qrow = q[i - p]
-                    for r in range(1 if p == 0 else 0, j + 1):
-                        b = brow[r]
-                        if b:
-                            acc -= b * qrow[j - r]
-                q[i][j] = _div(acc, b00)
+            acc = list(self.grid[i][: n + 1])
+            for p, r, b in earlier:
+                if p > i:
+                    break
+                # zip stops at acc's end: q[i-p][j-r] for j = r..n
+                acc[r:] = [x - b * y for x, y in zip(acc[r:], q[i - p])]
+            row: list[Rational] = []
+            for j, x in enumerate(acc):
+                for r, b in same_row:
+                    if r > j:
+                        break
+                    x -= b * row[j - r]
+                row.append(_div(x, b00))
+            q.append(row)
         return BSeries(q)
 
     def integer_rows(self) -> list[list[int]]:

@@ -149,11 +149,11 @@ class TestAutomaton:
                     ), (bits, n, k)
 
 
-patterns = st.text(alphabet="01", min_size=1, max_size=5)
+patterns = st.text(alphabet="01", min_size=1, max_size=7)
 
 
 class TestAgreementProperties:
-    @given(patterns, st.integers(0, 5), st.integers(0, 5))
+    @given(patterns, st.integers(0, 7), st.integers(0, 7))
     @settings(max_examples=60)
     def test_three_way_agreement(self, bits, n, k):
         expected = count_by_enumeration(bits, n, k)

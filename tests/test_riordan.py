@@ -210,6 +210,7 @@ class TestASequence:
         half = Fraction(1, 2)
         bad = verify_a_sequence(pascal, u(half, half, order=1))
         assert bad == [(1, 1, 1, half), (2, 1, 2, 1), (2, 2, 1, half)]
+        assert [type(v[3]) for v in bad] == [Fraction, int, Fraction]
 
 
 class TestZSequence:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from wordavoid.cli import render_matrix
 from wordavoid.riordan import family_triangle
 from wordavoid.rules import (
+    ZERO1,
+    ZERO2,
     Label,
     LevelCensus,
     Production,
@@ -110,6 +112,37 @@ class TestAvoidRule:
         assert plain.labels[1] == Label(0, variant="zero2")
         assert plain.labels[2:] == tuple(Label(v) for v in (1, 2, 3, 4))
         assert marked.labels == tuple(lab.flipped() for lab in plain.labels)
+
+    def test_produce_spelled_out(self):
+        ks = list(range(61))
+        # ascending, descending and repeated asks all see the same tuples
+        for j, order in ((1, ks), (2, ks[::-1]), (3, ks + ks[::7])):
+            rule = avoid_rule(j)
+            for k in order:
+                plain = (Label(0, ZERO1), Label(0, ZERO2)) + tuple(
+                    Label(v) for v in range(1, k + 2)
+                )
+                marked = tuple(Label(lab.value, lab.variant, True) for lab in plain)
+                assert rule.produce(k) == (Production(1, plain), Production(j + 1, marked))
+            with pytest.raises(ValueError):
+                rule.produce(-1)
+
+    def test_expand_builds_linearly_many_labels(self, monkeypatch):
+        # a work count, not a timing: each value's labels grow from the
+        # previous value's, so L levels build O(L) labels, not O(L^2)
+        built = 0
+        check = Label.__post_init__
+
+        def counting(label):
+            nonlocal built
+            built += 1
+            check(label)
+
+        monkeypatch.setattr(Label, "__post_init__", counting)
+        levels = 120
+        census = expand(avoid_rule(2), levels)
+        assert census.max_value() == levels
+        assert built <= 4 * (levels + 3)
 
     def test_j_validated(self):
         with pytest.raises(ValueError):

@@ -271,12 +271,66 @@ class TestBSeries:
         b = BSeries.from_terms({(0, 0): 1, (9, 9): 5}, 2)
         assert b.entry(0, 0) == 1
 
-    @given(
-        st.lists(st.lists(small_coeffs, min_size=3, max_size=3), min_size=3, max_size=3),
-        st.lists(st.lists(small_coeffs, min_size=3, max_size=3), min_size=3, max_size=3),
-    )
-    @settings(max_examples=40)
-    def test_div_mul_round_trip(self, a_rows, b_rows):
-        b_rows[0][0] = 1
-        a, b = BSeries(a_rows), BSeries(b_rows)
-        assert (a / b) * b == a
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_div_mul_round_trip(self, data):
+        na, nb = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        a = BSeries(data.draw(grids(na)))
+        # a sparse divisor: a few nonzero terms anywhere on its grid
+        cells = st.tuples(st.integers(0, nb), st.integers(0, nb))
+        terms = data.draw(st.dictionaries(cells, small_coeffs, max_size=nb + 2))
+        b00 = terms[0, 0] = data.draw(st.sampled_from([1, -1, 2, -2, 3]))
+        b = BSeries.from_terms(terms, nb)
+        q = a / b
+        n = min(na, nb)
+        assert q.order == n
+        assert q * b == BSeries(a.grid, n)
+        # canonical entries, and a unit constant term keeps the quotient in int
+        entries = [c for row in q.grid for c in row]
+        assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+                   for c in entries)
+        if b00 in (1, -1):
+            assert all(type(c) is int for c in entries)
+
+    def test_div_by_terms_on_last_row_and_column(self):
+        b = BSeries.from_terms(
+            {(0, 0): 1, (5, 0): -1, (0, 5): 2, (5, 5): 1, (5, 3): 1, (2, 5): -3}, 5
+        )
+        q = BSeries.from_terms({(0, 0): 1}, 7) / b
+        assert q == BSeries.from_terms(
+            {(0, 0): 1, (5, 0): 1, (0, 5): -2, (5, 3): -1, (2, 5): 3, (5, 5): -5}, 5
+        )
+        assert q * b == BSeries.from_terms({(0, 0): 1}, 5)
+
+    def test_div_multiplies_only_by_nonzero_divisor_terms(self):
+        # a work count, not a timing: an order-30 division by a divisor with
+        # t = 3 terms besides the constant makes at most t * 31^2 products
+        # and tests each divisor entry once, where the dense loop would
+        # revisit the whole divisor for every quotient cell
+        class Counted(int):
+            products = tests = 0
+
+            def __mul__(self, other):
+                Counted.products += 1
+                return int(self) * other
+
+            __rmul__ = __mul__
+
+            def __bool__(self):
+                Counted.tests += 1
+                return int(self) != 0
+
+        n = 30
+        terms = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (3, 2): 1}
+        b = BSeries([[Counted(terms.get((p, r), 0)) for r in range(n + 1)]
+                     for p in range(n + 1)])
+        q = BSeries.from_terms({(0, 0): 1}, n) / b
+        assert q.entry(7, 7) == 2232  # the avoiders of 11100, as pinned above
+        assert 0 < Counted.products <= 3 * (n + 1) ** 2
+        assert Counted.tests <= (n + 1) ** 2
+
+
+def grids(order):
+    """Square grids of small integers with the given order."""
+    row = st.lists(small_coeffs, min_size=order + 1, max_size=order + 1)
+    return st.lists(row, min_size=order + 1, max_size=order + 1)
