@@ -5,11 +5,15 @@ Growing all paths by the avoid rule of module `rules` requires a geometric
 action per label.  Most children just append a rise and some falls; the
 zero-sub-1 child, which must end on the axis with a rise as its last step,
 is produced by a cut-and-paste rearrangement (`zero1_forward`) that this
-module also inverts.  Marked blocks are indivisible occurrences of the
-forbidden factor '1' * (j+1) + '0' * j dropped in by the rule's jumping
-production; a node's sign is the parity of its marked blocks, and summing
-signs per word annihilates every word containing the factor while leaving
-each avoider exactly once.
+module also inverts (`zero1_inverse`).  Past an endpoint check, each map
+walks back from the path's end and reads only the steps it moves: the
+forward map phi, the suffix after the last axis point, and the inverse the
+steps from its cut fall d on.  Both then splice with one rotation,
+`_rotated`, which carries the marks along and never cuts a block.  Marked
+blocks are indivisible occurrences of the forbidden factor '1' * (j+1) +
+'0' * j dropped in by the rule's jumping production; a node's sign is the
+parity of its marked blocks, and summing signs per word annihilates every
+word containing the factor while leaving each avoider exactly once.
 
 What is validated where: the public `AnnotatedPath` constructor checks
 everything (j, the letters, and every marked block), and so does every path
@@ -47,13 +51,6 @@ _COMPLEMENT = str.maketrans("01", "10")
 def complement(word: str) -> str:
     """Swap rises and falls."""
     return word.translate(_COMPLEMENT)
-
-
-def _ordinates(steps: str) -> list[int]:
-    out = [0]
-    for ch in steps:
-        out.append(out[-1] + (1 if ch == "1" else -1))
-    return out
 
 
 def _check_blocks(j: int, steps: str, marks, prev_end: int | None = None) -> None:
@@ -109,7 +106,10 @@ class AnnotatedPath:
         return 2 * self.steps.count("1") - len(self.steps)
 
     def ordinates(self) -> list[int]:
-        return _ordinates(self.steps)
+        out = [0]
+        for ch in self.steps:
+            out.append(out[-1] + (1 if ch == "1" else -1))
+        return out
 
     def is_interior_point(self, m: int) -> bool:
         return any(s < m < s + self.span for s in self.marks)
@@ -139,39 +139,26 @@ def _extend(path: AnnotatedPath, body: str, added: tuple[int, ...],
     return out
 
 
-def _rearranged(path: AnnotatedPath, pieces, error) -> AnnotatedPath:
-    # pieces: (a, b) step ranges of the old path, or literal unmarked step
-    # strings; marks travel with their range and must never be cut.
-    span = path.span
-    out = []
-    new_marks = []
-    offset = 0
-    for piece in pieces:
-        if isinstance(piece, str):
-            out.append(piece)
-            offset += len(piece)
-            continue
-        a, b = piece
-        out.append(path.steps[a:b])
-        for s in path.marks:
-            if s + span <= a or s >= b:
-                continue
-            if a <= s and s + span <= b:
-                new_marks.append(offset + s - a)
-            else:
-                raise error("a cut would split a marked block")
-        offset += b - a
-    return AnnotatedPath(path.j, "".join(out), tuple(new_marks))
+def _rotated(path: AnnotatedPath, head: int, insert: str, start: int, cut: int,
+             error) -> AnnotatedPath:
+    """steps[:head] + insert + steps[cut:] + steps[start:cut], validated.
 
-
-def _block_mask(path: AnnotatedPath, size: int, first: int) -> list[bool]:
-    """Flags at indices s + first .. s + span - 1 of every marked block s:
-    first = 1 flags the points inside blocks, first = 0 their steps."""
-    mask = [False] * size
-    inside = [True] * (path.span - first)
+    The stretch [start, cut) moves behind the suffix from `cut`.  Marks
+    travel with their steps; a block across `cut` raises `error`.  Callers
+    guarantee that no block meets steps head .. start - 1."""
+    fore = head + len(insert) - cut
+    aft = fore + len(path.steps) - start
+    marks = []
     for s in path.marks:
-        mask[s + first : s + path.span] = inside
-    return mask
+        if s >= cut:
+            s += fore
+        elif s + path.span > cut:
+            raise error("a cut would split a marked block")
+        elif s >= start:
+            s += aft
+        marks.append(s)
+    steps = path.steps[:head] + insert + path.steps[cut:] + path.steps[start:cut]
+    return AnnotatedPath(path.j, steps, tuple(marks))
 
 
 def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
@@ -182,27 +169,27 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
     the child is v + complement(phi) + rise.  With marked blocks, cut phi
     at z, its leftmost highest uncut point (a point is cut when it lies
     strictly inside a marked block), and emit v + fall + phi[z:] + phi[:z].
-    Mark count is preserved either way.
+    Mark count is preserved either way.  Past the endpoint check, only phi
+    is read.
     """
-    ords = _ordinates(path.steps)
-    if not path.steps or ords[-1] != 1:
+    steps = path.steps
+    if path.endpoint != 1:
         raise MalformedInput("input must end at ordinate 1")
-    i = max(m for m, o in enumerate(ords) if o <= 0)
-    # a unit-step path above the axis afterwards forces an exact axis hit
-    if ords[i] != 0:
-        raise MalformedInput("the suffix above the axis does not start on it")
-    n = len(path.steps)
-    interior = _block_mask(path, n + 1, 1)
-    if interior[i]:
+    # walk back from ordinate 1; unit steps land exactly on the axis at i
+    i, o = len(steps), 1
+    while o > 0:
+        i -= 1
+        o += -1 if steps[i] == "1" else 1
+    if path.is_interior_point(i):
         raise MalformedInput("suffix would start inside a marked block")
-    in_phi = [s for s in path.marks if s >= i]
-    if not in_phi:
-        head = path.steps[:i]
-        return AnnotatedPath(path.j, head + complement(path.steps[i:]) + "1", path.marks)
-    uncut = [m for m in range(i, n + 1) if not interior[m]]
-    top = max(ords[m] for m in uncut)
-    z = next(m for m in uncut if ords[m] == top)
-    return _rearranged(path, [(0, i), "0", (z, n), (i, z)], MalformedInput)
+    if not path.marks or path.marks[-1] < i:
+        return AnnotatedPath(path.j, steps[:i] + complement(steps[i:]) + "1", path.marks)
+    z, top = i, 0
+    for m in range(i + 1, len(steps) + 1):
+        o += 1 if steps[m - 1] == "1" else -1
+        if o > top and not path.is_interior_point(m):
+            z, top = m, o
+    return _rotated(path, i, "0", i, z, MalformedInput)
 
 
 def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
@@ -214,33 +201,36 @@ def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
     cut the rest at its rightmost lowest point l, and swap the halves:
     head + rest[l:] + rest[:l].  Otherwise it is an image exactly when its
     last step is a rise; drop that rise and complement the steps from d on.
+    Past the endpoint check, only the steps from d on are read.
     """
-    ords = _ordinates(path.steps)
-    if not path.steps or ords[-1] != 0:
+    steps = path.steps
+    n = len(steps)
+    if not steps or path.endpoint != 0:
         raise NotInImage("image paths end on the axis")
-    n = len(path.steps)
-    in_mark = _block_mask(path, n, 0)
-    d = None
-    for step in range(n - 1, -1, -1):
-        if path.steps[step] == "0" and ords[step] == 0 and not in_mark[step]:
-            d = step
+    # walk back from the end; o is the ordinate of point d
+    d, o = n, 0
+    while d:
+        d -= 1
+        o += 1 if steps[d] == "0" else -1
+        if o == 0 and steps[d] == "0" and not path.step_in_mark(d):
             break
-    if d is None:
+    else:
         raise NotInImage("no cut step qualifies")
     if path.marks and path.marks[-1] > d:
-        interior = _block_mask(path, n + 1, 1)
-        if any(ords[m] >= 0 and not interior[m] for m in range(d + 1, n)):
-            raise NotInImage("an uncut point right of d is not below the axis")
-        base = d + 1
-        low = min(ords[m] for m in range(base, n + 1))
-        l = max(m for m in range(base, n + 1) if ords[m] == low)
-        return _rearranged(path, [(0, d), (l, n), (base, l)], NotInImage)
-    if path.steps[-1] != "1":
+        # point d + 1 lies at -1, so the lowest point is below the axis
+        l, low, o = d + 1, -1, -1
+        for m in range(d + 2, n):
+            o += 1 if steps[m - 1] == "1" else -1
+            if o >= 0 and not path.is_interior_point(m):
+                raise NotInImage("an uncut point right of d is not below the axis")
+            if o <= low:
+                l, low = m, o
+        return _rotated(path, d, "", d + 1, l, NotInImage)
+    if steps[-1] != "1":
         raise NotInImage("an image without late marks ends with a rise")
     # no uncut fall leaves the axis after d, so the steps d .. n-2 stay
     # below it and carry no marks
-    steps = path.steps[:d] + complement(path.steps[d : n - 1])
-    return AnnotatedPath(path.j, steps, path.marks)
+    return AnnotatedPath(path.j, steps[:d] + complement(steps[d : n - 1]), path.marks)
 
 
 @dataclass(frozen=True, slots=True)

@@ -409,22 +409,24 @@ class BSeries:
         )
 
     def __mul__(self, other):
+        """The product on the common grid 0..n, n the smaller order.  Each
+        nonzero left cell meets only the right operand's t nonzero terms,
+        collected once, so the product costs O(nnz(self) * t), not O(n^4)."""
         if not isinstance(other, BSeries):
             return NotImplemented
         n = min(self.order, other.order)
+        terms = [(p, r, b) for p in range(n + 1)
+                 for r, b in enumerate(other.grid[p][: n + 1]) if b]
         out = [[0] * (n + 1) for _ in range(n + 1)]
         for i in range(n + 1):
-            for j in range(n + 1):
-                c = self.grid[i][j]
+            for j, c in enumerate(self.grid[i][: n + 1]):
                 if not c:
                     continue
-                for p in range(n + 1 - i):
-                    brow = other.grid[p]
-                    orow = out[i + p]
-                    for q in range(n + 1 - j):
-                        b = brow[q]
-                        if b:
-                            orow[j + q] += c * b
+                for p, r, b in terms:
+                    if i + p > n:
+                        break
+                    if j + r <= n:
+                        out[i + p][j + r] += c * b
         return BSeries(out)
 
     def __truediv__(self, other):

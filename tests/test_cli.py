@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from wordavoid.cli import (
+    J_CAP,
     RULE_LEVELS_CAP,
     SERIES_ORDER_CAP,
     TABLE_ORDER_CAP,
@@ -354,6 +355,26 @@ class TestUsageErrors:
         assert rc == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--levels", "1"],
+        ["rule", "avoid", "10"],
+        ["construct", "--level", "1"],
+        ["triangle", "--bar", "7"],
+        ["series", "a"],
+    ])
+    def test_j_cap(self, capsys, argv):
+        # refused before the factor or any series is built
+        rc, out, err = run(capsys, *argv, "--j", str(J_CAP + 1))
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: j must be at most {J_CAP}\n"
+
+    def test_j_cap_is_allowed(self, capsys):
+        # over 3 levels no marked jump fires for j >= 3
+        rc, out, _ = run(capsys, "rule", "avoid", "3", "--j", str(J_CAP), "csv")
+        assert rc == 0
+        assert out == run(capsys, "rule", "avoid", "3", "--j", "3", "csv")[1]
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):

@@ -13,7 +13,6 @@ from wordavoid.paths import (
     MalformedInput,
     NotInImage,
     TooLarge,
-    _block_mask,
     _extend,
     build_tree,
     complement,
@@ -38,11 +37,12 @@ def path(steps, *marks, j=1):
 
 
 @st.composite
-def annotated_paths(draw, end):
+def annotated_paths(draw, end, j=None):
     """Valid paths ending at ordinate `end`: random steps with a monotone
     run to `end` inserted at a random point, then up to three marked blocks
-    spliced in at random points."""
-    j = draw(st.integers(min_value=1, max_value=3))
+    spliced in at random points.  j is drawn from 1..3 unless given."""
+    if j is None:
+        j = draw(st.integers(min_value=1, max_value=3))
     steps = draw(st.text("01", max_size=12))
     blocks = draw(st.integers(min_value=0, max_value=3))
     # each block adds one to the endpoint
@@ -60,6 +60,20 @@ def annotated_paths(draw, end):
         out += block
         prev = c
     return AnnotatedPath(j, out + steps[prev:], tuple(marks))
+
+
+@st.composite
+def prefixed(draw, end):
+    """(v, p): p a valid path ending at ordinate `end`, v a valid path of
+    the same j ending on the axis."""
+    p = draw(annotated_paths(end))
+    return draw(annotated_paths(0, j=p.j)), p
+
+
+def joined(v, p):
+    """v followed by p, p's marks shifted past v."""
+    return AnnotatedPath(v.j, v.steps + p.steps,
+                         v.marks + tuple(s + len(v.steps) for s in p.marks))
 
 
 def _all_marked_paths(j, n):
@@ -194,24 +208,35 @@ class TestInverseMap:
             return
         assert zero1_forward(preimage) == p
 
-    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("j", [1, 2, 3])
     def test_accepts_exactly_the_image(self, j):
-        # every marked path of length up to 12 ending on the axis, against
-        # the forward images of every path one step shorter
+        # every marked path of length up to 10 + 2j (12, 14, 16) ending on
+        # the axis, against the forward images of every path one step shorter
+        top = 10 + 2 * j
         image = {}
-        for n in range(12):
+        for n in range(top):
             for q in _all_marked_paths(j, n):
                 if q.endpoint == 1:
                     with contextlib.suppress(MalformedInput):
                         image[zero1_forward(q)] = q
         accepted = {}
-        for n in range(13):
+        for n in range(top + 1):
             for p in _all_marked_paths(j, n):
                 if p.endpoint == 0:
                     with contextlib.suppress(NotInImage):
                         accepted[p] = zero1_inverse(p)
         assert sum(1 for p in image if p.marks) > 100
+        assert any(len(p.marks) > 1 for p in image)
         assert accepted == image
+
+    @given(prefixed(end=0))
+    def test_inverse_reads_only_the_moved_suffix(self, pair):
+        v, p = pair
+        try:
+            preimage = zero1_inverse(p)
+        except NotInImage:
+            return
+        assert zero1_inverse(joined(v, p)) == joined(v, preimage)
 
 
 class TestRoundTrip:
@@ -251,6 +276,15 @@ class TestRoundTrip:
             (h.steps, h.marks, c.path.steps, c.path.marks) for h, c in reported
         ) == sorted((h.steps, h.marks, i.steps, i.marks) for h, i in rebuilt)
 
+    @given(prefixed(end=1))
+    def test_forward_reads_only_phi(self, pair):
+        v, q = pair
+        try:
+            image = zero1_forward(q)
+        except MalformedInput:
+            return
+        assert zero1_forward(joined(v, q)) == joined(v, image)
+
     @given(annotated_paths(end=1))
     def test_inverse_undoes_forward(self, p):
         image = zero1_forward(p)
@@ -264,10 +298,13 @@ class TestRoundTrip:
         assert zero1_forward(zero1_inverse(image)) == image
 
     @given(st.one_of(annotated_paths(end=0), annotated_paths(end=1)))
-    def test_masks_match_the_public_predicates(self, p):
+    def test_block_predicates_match_the_marks(self, p):
+        # both maps cut wherever these two predicates allow
         n = len(p.steps)
-        assert _block_mask(p, n + 1, 1) == [p.is_interior_point(m) for m in range(n + 1)]
-        assert _block_mask(p, n, 0) == [p.step_in_mark(i) for i in range(n)]
+        inside = {s + k for s in p.marks for k in range(1, p.span)}
+        covered = {s + k for s in p.marks for k in range(p.span)}
+        assert {m for m in range(n + 1) if p.is_interior_point(m)} == inside
+        assert {i for i in range(n) if p.step_in_mark(i)} == covered
 
 
 class TestConstructionNodes:

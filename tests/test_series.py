@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordavoid.pattern import avoider_table
 from wordavoid.series import (
     BadConstantTerm,
     BSeries,
@@ -328,6 +329,35 @@ class TestBSeries:
         assert q.entry(7, 7) == 2232  # the avoiders of 11100, as pinned above
         assert 0 < Counted.products <= 3 * (n + 1) ** 2
         assert Counted.tests <= (n + 1) ** 2
+
+    def test_mul_multiplies_only_by_nonzero_right_terms(self):
+        # a work count, not a timing: a dense table times a divisor with 4
+        # nonzero terms tests each divisor entry once and makes at most 4
+        # products per nonzero table cell, where the dense loop would scan
+        # the whole divisor for every table cell
+        class Counted(int):
+            products = tests = 0
+
+            def __mul__(self, other):
+                Counted.products += 1
+                return int(self) * other
+
+            __rmul__ = __mul__
+
+            def __bool__(self):
+                Counted.tests += 1
+                return int(self) != 0
+
+        n = 30
+        table = avoider_table("1010110", n)
+        terms = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (3, 2): 1}
+        b = BSeries([[Counted(terms.get((p, r), 0)) for r in range(n + 1)]
+                     for p in range(n + 1)])
+        product = table * b
+        nonzero = sum(1 for row in table.grid for c in row if c)
+        assert 0 < Counted.products <= 4 * nonzero
+        assert Counted.tests <= (n + 1) ** 2
+        assert product == BSeries.from_terms(terms, n) * table
 
 
 def grids(order):
