@@ -279,11 +279,7 @@ class TestRoundTrip:
     @given(prefixed(end=1))
     def test_forward_reads_only_phi(self, pair):
         v, q = pair
-        try:
-            image = zero1_forward(q)
-        except MalformedInput:
-            return
-        assert zero1_forward(joined(v, q)) == joined(v, image)
+        assert zero1_forward(joined(v, q)) == joined(v, zero1_forward(q))
 
     @given(annotated_paths(end=1))
     def test_inverse_undoes_forward(self, p):
