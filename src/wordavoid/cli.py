@@ -22,14 +22,15 @@ FORMATS = ("csv", "json", "text")
 # Caps on user-sized inputs.  The slowest call at each cap, min of 3 in
 # process (Python 3.11, 2-CPU Linux VM): avoider_table at order 40 about
 # 0.017 s for a long self-overlapping pattern such as (10)^20, whose divisor
-# has the most terms, and 0.006 s for a 7-letter one; family_z and family_a
-# at series order 100 about 0.09 s; run_checks at verify order 80 with two
-# levels about 0.37 s for any j; expand of the avoid rule at 300 levels
-# about 0.09 s.  A rule census prints (L+1)^2 big integers, which also
-# bounds its cap.  The family's j goes no higher than the rule cap: a marked
-# jump of j + 1 levels beyond the last one never fires.  At j = 300,
-# family_a at order 100 takes about 0.34 s, expand of the avoid rule at 300
-# levels (j = 299) 0.13 s and build_tree to level 8 0.25 s.
+# has the most terms, and 0.006 s for a 7-letter one; family_z at series
+# order 100 about 0.2 s, family_a at most 0.07 s for j up to 99; run_checks
+# at verify order 80 with two levels about 0.37 s for any j; expand of the
+# avoid rule at 300 levels about 0.09 s.  A rule census prints (L+1)^2 big
+# integers, which also bounds its cap.  The family's j goes no higher than
+# the rule cap: a marked jump of j + 1 levels beyond the last one never
+# fires.  At j = 300, family_a at order 100 takes about 0.11 s, expand of
+# the avoid rule at 300 levels (j = 299) 0.13 s and build_tree to level 8
+# 0.25 s.
 TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100
 VERIFY_ORDER_CAP = 80

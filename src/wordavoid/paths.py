@@ -139,21 +139,19 @@ def _extend(path: AnnotatedPath, body: str, added: tuple[int, ...],
     return out
 
 
-def _rotated(path: AnnotatedPath, head: int, insert: str, start: int, cut: int,
-             error) -> AnnotatedPath:
+def _rotated(path: AnnotatedPath, head: int, insert: str, start: int,
+             cut: int) -> AnnotatedPath:
     """steps[:head] + insert + steps[cut:] + steps[start:cut], validated.
 
     The stretch [start, cut) moves behind the suffix from `cut`.  Marks
-    travel with their steps; a block across `cut` raises `error`.  Callers
-    guarantee that no block meets steps head .. start - 1."""
+    travel with their steps.  Callers guarantee that no block meets steps
+    head .. start - 1 and that point `cut` is not inside a block."""
     fore = head + len(insert) - cut
     aft = fore + len(path.steps) - start
     marks = []
     for s in path.marks:
         if s >= cut:
             s += fore
-        elif s + path.span > cut:
-            raise error("a cut would split a marked block")
         elif s >= start:
             s += aft
         marks.append(s)
@@ -180,8 +178,8 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
     while o > 0:
         i -= 1
         o += -1 if steps[i] == "1" else 1
-    if path.is_interior_point(i):
-        raise MalformedInput("suffix would start inside a marked block")
+    # point i is not inside a block: a block ends at or below each of its
+    # interior points, and every point after i lies above the axis
     if not path.marks or path.marks[-1] < i:
         return AnnotatedPath(path.j, steps[:i] + complement(steps[i:]) + "1", path.marks)
     z, top = i, 0
@@ -189,7 +187,7 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
         o += 1 if steps[m - 1] == "1" else -1
         if o > top and not path.is_interior_point(m):
             z, top = m, o
-    return _rotated(path, i, "0", i, z, MalformedInput)
+    return _rotated(path, i, "0", i, z)
 
 
 def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
@@ -225,7 +223,7 @@ def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
                 raise NotInImage("an uncut point right of d is not below the axis")
             if o <= low:
                 l, low = m, o
-        return _rotated(path, d, "", d + 1, l, NotInImage)
+        return _rotated(path, d, "", d + 1, l)
     if steps[-1] != "1":
         raise NotInImage("an image without late marks ends with a rise")
     # no uncut fall leaves the axis after d, so the steps d .. n-2 stay

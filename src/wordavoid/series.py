@@ -278,43 +278,18 @@ class USeries:
         return f"USeries([{shown}{tail}], order={self.order})"
 
 
-def _newton_cap(order: int) -> int:
-    # ceil(log2(order + 1)) + 2; Newton doubles correct coefficients per step.
-    return order.bit_length() + 2
-
-
-def _times_sparse(row: USeries, series: USeries) -> USeries:
-    """row * series, one shifted, scaled copy of `series` per nonzero
-    coefficient of `row`."""
-    n = min(row.order, series.order)
-    out = [0] * (n + 1)
-    for k, c in enumerate(row.coeffs[: n + 1]):
-        if c:
-            for i, x in enumerate(series.coeffs[: n + 1 - k], k):
-                out[i] += c * x
-    return USeries(out)
-
-
 def _eval_poly(table: Sequence[USeries], at: USeries) -> USeries:
-    """The sum of table[i] * at^i over the rows that are not zero.
+    """The sum of table[i] * at^i over the rows that are not zero, to the
+    order of `at`.
 
-    Each needed power steps from the previous one by a power computed by
-    squaring, so a polynomial with r nonzero rows up to degree m costs
-    O(r log m) products instead of Horner's m; a row multiplies its power
-    term by term, which is cheap for the sparse rows of `family_a`.
+    Each power is taken by squaring in `__pow__`, so a polynomial with r
+    nonzero rows up to degree d costs O(r log d) products at that order; a
+    row longer than `at` is cut to its order by the product.
     """
-    acc = power = None
-    done = 0
-    for i, row in enumerate(table):
-        if not any(row.coeffs):
-            continue
-        if i:
-            step = at ** (i - done)
-            power = step if power is None else power * step
-            done = i
-            row = _times_sparse(row, power)
-        acc = row if acc is None else acc + row
-    return USeries([0], order=at.order) if acc is None else acc
+    return sum(
+        (row * at**i for i, row in enumerate(table) if any(row.coeffs)),
+        USeries([0], order=at.order),
+    )
 
 
 def solve_polynomial(
@@ -324,8 +299,13 @@ def solve_polynomial(
 
     `poly[i]` lists the t-coefficients of the A^i term.  Requires a simple
     root, P(a0, 0) = 0 with dP/dA(a0, 0) != 0; raises SingularRoot otherwise.
-    Newton iteration from the constant a0, capped at ceil(log2(order+1)) + 2
-    rounds, with the residual re-checked at the end.
+    Newton iteration from the constant a0 with precision doubling (Brent and
+    Kung, J. ACM 1978): one step from an A correct through t^m makes it
+    correct through t^(2m+1), so each round lifts A from order m to order
+    min(2m + 1, order) and evaluates P and dP/dA only to that order.  With
+    quadratic products, all rounds before the last cost about a third of
+    it; only the last round and the final residual check, which raises
+    SingularRoot if P(A) is not zero, evaluate at full order.
     """
     if not poly:
         raise ValueError("empty polynomial")
@@ -336,14 +316,11 @@ def solve_polynomial(
     slope0 = sum(c.coeffs[0] * i * a0 ** (i - 1) for i, c in enumerate(coeffs) if i)
     if value0 != 0 or slope0 == 0:
         raise SingularRoot("need P(a0, 0) = 0 with dP/dA(a0, 0) != 0")
-    a = USeries([a0], order=order)
-    zero = USeries([0], order=order)
-    for _ in range(_newton_cap(order)):
-        residual = _eval_poly(coeffs, a)
-        if residual == zero:
-            break
-        a = a - residual / _eval_poly(deriv, a)
-    if _eval_poly(coeffs, a) != zero:
+    a = USeries([a0], order=0)
+    while a.order < order:
+        at = USeries(a.coeffs, order=min(2 * a.order + 1, order))
+        a = at - _eval_poly(coeffs, at) / _eval_poly(deriv, at)
+    if any(_eval_poly(coeffs, a).coeffs):
         raise SingularRoot("Newton iteration did not converge to a root")
     return a
 

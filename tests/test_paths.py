@@ -217,8 +217,7 @@ class TestInverseMap:
         for n in range(top):
             for q in _all_marked_paths(j, n):
                 if q.endpoint == 1:
-                    with contextlib.suppress(MalformedInput):
-                        image[zero1_forward(q)] = q
+                    image[zero1_forward(q)] = q
         accepted = {}
         for n in range(top + 1):
             for p in _all_marked_paths(j, n):

@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wordavoid import series
 from wordavoid.pattern import avoider_table
+from wordavoid.riordan import family_a
 from wordavoid.series import (
     BadConstantTerm,
     BSeries,
@@ -140,6 +142,22 @@ class TestSolvePolynomial:
         with pytest.raises(SingularRoot):
             solve_polynomial([[-1], [1]], 2, 5)
 
+    def test_only_the_last_round_runs_at_full_order(self, monkeypatch):
+        # precision doubling: P and dP/dA of the last Newton round and the
+        # final residual check are the only evaluations at full order
+        orders = []
+        evaluate = series._eval_poly
+
+        def recorded(table, at):
+            orders.append(at.order)
+            return evaluate(table, at)
+
+        monkeypatch.setattr(series, "_eval_poly", recorded)
+        for j, n in ((2, 40), (3, 100), (99, 100)):
+            orders.clear()
+            family_a(j, n)
+            assert orders.count(n) == 3
+
 
 class TestReversion:
     def test_identity(self):
@@ -206,6 +224,35 @@ def useries(min_order=0, max_order=7, unit=False):
     )
 
 
+@st.composite
+def simple_roots(draw):
+    """An integer polynomial of degree 1 to 4 in A, rows up to t^3, and a0
+    with P(a0, 0) = 0 and dP/dA(a0, 0) != 0."""
+    rows = [draw(st.lists(small_coeffs, min_size=1, max_size=4))
+            for _ in range(draw(st.integers(min_value=1, max_value=4)) + 1)]
+    a0 = draw(st.integers(min_value=-2, max_value=2))
+    rows[0][0] = -sum(row[0] * a0**i for i, row in enumerate(rows) if i)
+    assume(sum(i * row[0] * a0 ** (i - 1) for i, row in enumerate(rows) if i))
+    return rows, a0
+
+
+def undetermined_coefficients(poly, a0, order):
+    """The root by undetermined coefficients: with A_n the root through
+    t^(n-1), a_n = -[t^n] P(A_n) / dP/dA(a0, 0).  Plain lists, no series."""
+    slope0 = sum(i * row[0] * a0 ** (i - 1) for i, row in enumerate(poly) if i)
+    a = [a0]
+    for n in range(1, order + 1):
+        known = a + [0]
+        power, value = [1] + [0] * n, 0
+        for i, row in enumerate(poly):
+            if i:
+                power = [sum(power[k] * known[m - k] for k in range(m + 1))
+                         for m in range(n + 1)]
+            value += sum(c * power[n - k] for k, c in enumerate(row) if k <= n)
+        a.append(Fraction(-value, slope0))
+    return a
+
+
 class TestProperties:
     @given(useries(), useries(unit=True))
     def test_div_mul_round_trip(self, a, b):
@@ -231,6 +278,14 @@ class TestProperties:
         g = h.revert()
         assert h.compose(g) == USeries([0, 1], order=h.order)
         assert g.revert() == h
+
+    @given(simple_roots(), st.integers(min_value=0, max_value=12))
+    @example(([[0, 1], [2], [0, 0, 1]], 0), 12)  # slope 2: fractional terms
+    def test_solve_matches_undetermined_coefficients(self, problem, order):
+        poly, a0 = problem
+        got = solve_polynomial(poly, a0, order).coeffs
+        assert list(got) == undetermined_coefficients(poly, a0, order)
+        assert all(type(c) is int or c.denominator != 1 for c in got)
 
 
 class TestBSeries:
