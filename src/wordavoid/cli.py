@@ -2,8 +2,8 @@
 
 Subcommands expose the avoider table, the two triangles, the family's
 series, rule censuses, the path construction, and the consistency battery.
-This is the one module that turns results into text; the library returns
-checked integers.
+This module renders every output except a series' text form, which
+`USeries.text()` gives; the library returns checked integers.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors (including sizes beyond the built-in guards).
 """
@@ -110,14 +110,9 @@ def cmd_triangle(args) -> int:
     if (args.pattern is None) == (args.j is None):
         raise ValueError("give exactly one of PATTERN and --j")
     _check_table_order(args.order)
-    if args.pattern is None and not args.bar:
-        triangle = riordan.family_triangle(args.j, args.order)
-    else:
-        bits = args.pattern or pattern.family_pattern(args.j)
-        lower, upper = riordan.triangles_from_table(
-            pattern.avoider_table(bits, args.order)
-        )
-        triangle = upper if args.bar else lower
+    bits = args.pattern or pattern.family_pattern(args.j)
+    lower, upper = riordan.triangles_from_table(pattern.avoider_table(bits, args.order))
+    triangle = upper if args.bar else lower
     sys.stdout.write(render_matrix(triangle.rows, args.format))
     return 0
 
@@ -273,13 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USAGE_ERRORS = (
-    ValueError,
-    pattern.TooLarge,
-    riordan.NotProper,
-)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_format_options(argv))
@@ -287,7 +275,7 @@ def main(argv=None) -> int:
         if (getattr(args, "j", None) or 0) > J_CAP:
             raise ValueError(f"j must be at most {J_CAP}")
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

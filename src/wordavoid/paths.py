@@ -374,10 +374,9 @@ def signed_census(levels: list[list[ConstructionNode]]) -> LevelCensus:
 
 def occurrence_count(word: str, j: int) -> int:
     """Occurrences of the forbidden factor in a word."""
-    block = family_pattern(j)
-    return sum(
-        1 for i in range(len(word) - len(block) + 1) if word[i : i + len(block)] == block
-    )
+    # 1^(j+1) 0^j has no proper border (its autocorrelation is 1, 0, ..., 0),
+    # so two occurrences never overlap and the non-overlapping count is exact.
+    return word.count(family_pattern(j))
 
 
 def node_json(node: ConstructionNode) -> dict:

@@ -19,7 +19,7 @@ from .series import BSeries
 ENUMERATION_LIMIT = 22
 
 
-class TooLarge(Exception):
+class TooLarge(ValueError):
     """A size guard was exceeded: enumeration past its word length, or a
     tree past its level guard (raised by module `paths` too)."""
 
@@ -149,34 +149,22 @@ def count_by_enumeration(p: "Pattern | str", ones: int, zeros: int) -> int:
     return sum(1 for w in _arrangements(ones, zeros) if p.bits not in w)
 
 
-def _failure(bits: str) -> list[int]:
-    fail = [0] * len(bits)
-    k = 0
-    for i in range(1, len(bits)):
-        while k and bits[i] != bits[k]:
-            k = fail[k - 1]
-        if bits[i] == bits[k]:
-            k += 1
-        fail[i] = k
-    return fail
-
-
-def _transitions(bits: str) -> list[list[int]]:
-    # trans[s][b]: longest pattern prefix that is a suffix after reading
-    # bit b in state s; state len(bits) would be a full match.
-    fail = _failure(bits)
+def _live_transitions(bits: str) -> list[list[tuple[int, int]]]:
+    """For letters 0 and 1, the prefix automaton's (state, next) pairs that
+    do not complete a match, built in one pass (Knuth, Morris & Pratt 1977):
+    row s copies the row of the restart state x, the state reached on
+    bits[1:s], then moves on bits[s] to s + 1.  Only the last of those moves
+    reaches the full-match state len(bits), and it is left out."""
     h = len(bits)
-    trans = [[0, 0] for _ in range(h)]
-    for s in range(h):
-        for b in (0, 1):
-            ch = "01"[b]
-            if ch == bits[s]:
-                trans[s][b] = s + 1
-            elif s == 0:
-                trans[s][b] = 0
-            else:
-                trans[s][b] = trans[fail[s - 1]][b]
-    return trans
+    rows: list[list[int]] = []
+    x = 0
+    for s, letter in enumerate(bits):
+        row = rows[x].copy() if rows else [0, 0]
+        b = int(letter)
+        x = row[b]  # the restart state's move on bits[s], read before it is set
+        row[b] = s + 1
+        rows.append(row)
+    return [[(s, row[b]) for s, row in enumerate(rows) if row[b] < h] for b in (0, 1)]
 
 
 def count_by_automaton(p: "Pattern | str", ones: int, zeros: int) -> int:
@@ -185,7 +173,8 @@ def count_by_automaton(p: "Pattern | str", ones: int, zeros: int) -> int:
     letter counts, so no size guard is needed.
 
     Only the live transitions enter the sweep: for each letter, the
-    (state, next) pairs that do not complete a match.  The cells with i
+    (state, next) pairs that do not complete a match, which
+    `_live_transitions` builds in one pass.  The cells with i
     ones form row i, held as one list over the zero count per state.  Each
     row is swept once: its zeros are pushed along it cell by cell, then its
     ones are pushed into the next row a whole state list at a time, so the
@@ -195,9 +184,7 @@ def count_by_automaton(p: "Pattern | str", ones: int, zeros: int) -> int:
     if ones < 0 or zeros < 0:
         raise ValueError("letter counts must be non-negative")
     h = len(p.bits)
-    trans = _transitions(p.bits)
-    on_zero = [(s, t[0]) for s, t in enumerate(trans) if t[0] < h]
-    on_one = [(s, t[1]) for s, t in enumerate(trans) if t[1] < h]
+    on_zero, on_one = _live_transitions(p.bits)
     # row[s][z]: words with i ones and z zeros that end in state s
     row = [[0] * (zeros + 1) for _ in range(h)]
     row[0][0] = 1

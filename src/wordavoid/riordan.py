@@ -15,7 +15,7 @@ from .pattern import family_pattern
 from .series import BSeries, Rational, USeries, _frac, integer_row, solve_polynomial
 
 
-class NotProper(Exception):
+class NotProper(ValueError):
     """The series pair does not define a proper Riordan triangle."""
 
 

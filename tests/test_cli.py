@@ -1,3 +1,4 @@
+import ast
 import json
 import shlex
 from pathlib import Path
@@ -12,6 +13,8 @@ from wordavoid.cli import (
     VERIFY_ORDER_CAP,
     main,
 )
+from wordavoid.pattern import avoiding_words
+from wordavoid.riordan import family_triangle
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -49,6 +52,28 @@ class TestReadme:
             if expected is not None:
                 assert out == expected, argv
 
+    def test_library_tour(self):
+        # execute the python block statement by statement, keeping the value
+        # of each expression line to check against its comment
+        code = README.read_text().split("## Library tour", 1)[1]
+        code = code.split("```python", 1)[1].split("```", 1)[0]
+        namespace, values = {}, []
+        for node in ast.parse(code).body:
+            if isinstance(node, ast.Expr):
+                expr = compile(ast.Expression(node.value), "README", "eval")
+                values.append(eval(expr, namespace))
+            else:
+                exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+        entry, vector, row, a, census, words, copies, checks = values
+        assert entry == 58
+        assert vector == (1, 0, 1, 0, 1, 0)
+        assert row == (18, 9, 4, 1)
+        assert a[:6] == [1, 1, 0, 2, -1, 7]
+        assert census == [list(r) for r in family_triangle(2, 10).rows]
+        assert words == set().union(*(avoiding_words("110", 4, k) for k in range(5)))
+        assert copies == (2, 2)
+        assert checks and all(r.passed for r in checks)
+
 
 class TestGoldenOutputs:
     def test_table_csv(self, capsys):
@@ -70,6 +95,13 @@ class TestGoldenOutputs:
         _, from_j, _ = run(capsys, "triangle", "--j", "2", "7", "csv")
         _, from_pattern, _ = run(capsys, "triangle", "11100", "7", "csv")
         assert from_j == from_pattern
+
+    def test_family_triangle_below_the_pattern_order(self, capsys):
+        assert run(capsys, "triangle", "--j", "1", "0") == (0, "1\n", "")
+        rc, from_j, _ = run(capsys, "triangle", "--j", "41", "40", "csv")
+        assert rc == 0
+        bits = "1" * 42 + "0" * 41
+        assert from_j == run(capsys, "triangle", bits, "40", "csv")[1]
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "table", "11100", "7", "csv")

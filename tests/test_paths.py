@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordavoid import pattern
+from wordavoid import paths, pattern
 from wordavoid.pattern import avoiding_words
 from wordavoid.paths import (
     AnnotatedPath,
     ConstructionNode,
+    InconsistentCensus,
     MalformedInput,
     NotInImage,
     TooLarge,
@@ -417,6 +418,18 @@ class TestSurvivors:
         with pytest.raises(TooLarge):
             survivors(1, 10)
 
+    def test_inconsistent_census_raises(self, monkeypatch):
+        # a second copy of the one unmarked 1111 node nets that word to 2
+        def doubled(j, max_level):
+            levels = build_tree(j, max_level)
+            top = levels[max_level]
+            top.append(next(node for node in top if node.path.steps == "1111"))
+            return levels
+
+        monkeypatch.setattr(paths, "build_tree", doubled)
+        with pytest.raises(InconsistentCensus, match="word 1111 has net multiplicity 2"):
+            survivors(1, 4)
+
 
 class TestCopiesLaw:
     def test_level_four(self):
@@ -432,5 +445,13 @@ class TestCopiesLaw:
         assert occurrence_count("11011011", 1) == 2
         assert occurrence_count("111", 1) == 0
         assert occurrence_count("1110011100", 2) == 2
+        # the non-overlapping count equals an overlapping scan
+        for j in (1, 2, 3):
+            block = "1" * (j + 1) + "0" * j
+            for n in range(13):
+                for letters in itertools.product("01", repeat=n):
+                    word = "".join(letters)
+                    scan = sum(word[i : i + len(block)] == block for i in range(n))
+                    assert occurrence_count(word, j) == scan, (word, j)
         with pytest.raises(ValueError):
             occurrence_count("111", 0)

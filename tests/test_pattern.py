@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -34,6 +35,10 @@ class TestPattern:
             Pattern("")
         with pytest.raises(ValueError):
             Pattern("01a")
+        with pytest.raises(ValueError):
+            count_by_automaton("110", -1, 2)
+        with pytest.raises(ValueError):
+            count_by_enumeration("110", 2, -1)
 
     def test_as_pattern(self):
         p = Pattern("10")
@@ -141,7 +146,9 @@ class TestAutomaton:
                 assert count_by_automaton(bits, i, 40) == table.entry(i, 40)
 
     def test_matches_enumeration_grid(self):
-        for bits in ("110", "11100", "101010", "1"):
+        # every pattern of length 1-6, so every border shape up to six letters
+        every = ("".join(t) for h in range(1, 7) for t in itertools.product("01", repeat=h))
+        for bits in every:
             for n in range(6):
                 for k in range(6):
                     assert count_by_automaton(bits, n, k) == count_by_enumeration(
