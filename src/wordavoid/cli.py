@@ -3,7 +3,9 @@
 Subcommands expose the avoider table, the two triangles, the family's
 series, rule censuses, the path construction, and the consistency battery.
 This module renders every output except a series' text form, which
-`USeries.text()` gives; the library returns checked integers.
+`USeries.text()` gives; the library returns checked integers.  It loads no
+wordavoid module itself: each command imports the modules it runs, so
+`autocorr` never loads the construction or the battery.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors (including sizes beyond the built-in guards).
 """
@@ -13,9 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from . import paths, pattern, riordan, rules, verify
-from .series import USeries
 
 FORMATS = ("csv", "json", "text")
 
@@ -60,7 +59,7 @@ def render_matrix(rows, fmt: str) -> str:
     return "".join(" ".join(str(c).rjust(width) for c in row) + "\n" for row in rows)
 
 
-def _emit_series(series: USeries, fmt: str) -> None:
+def _emit_series(series, fmt: str) -> None:
     if fmt == "text":
         print(series.text())
         return
@@ -84,6 +83,8 @@ def _poly_text(terms: list[tuple[int, int]]) -> str:
 
 
 def cmd_autocorr(args) -> int:
+    from . import pattern
+
     vector = pattern.autocorrelation(args.pattern)
     terms = pattern.correlation_terms(args.pattern)
     rendered = f"c=({','.join(map(str, vector))}); C={_poly_text(terms)}"
@@ -100,6 +101,8 @@ def _check_table_order(order: int) -> None:
 
 
 def cmd_table(args) -> int:
+    from . import pattern
+
     _check_table_order(args.order)
     table = pattern.avoider_table(args.pattern, args.order)
     sys.stdout.write(render_matrix(table.integer_rows(), args.format))
@@ -107,6 +110,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_triangle(args) -> int:
+    from . import pattern, riordan
+
     if (args.pattern is None) == (args.j is None):
         raise ValueError("give exactly one of PATTERN and --j")
     _check_table_order(args.order)
@@ -118,37 +123,38 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import riordan
+
     if args.order > SERIES_ORDER_CAP:
         raise ValueError(f"order must be at most {SERIES_ORDER_CAP}")
-    maker = {
-        "d": riordan.family_d,
-        "h": riordan.family_h,
-        "a": riordan.family_a,
-        "z": riordan.family_z,
-    }[args.kind]
+    maker = getattr(riordan, f"family_{args.kind}")
     _emit_series(maker(args.j, args.order), args.format)
     return 0
 
 
+# rule name -> the `rules` function that builds it
 _RULES = {
-    "catalan-plain": rules.catalan_plain_rule,
-    "catalan-marked": rules.catalan_marked_rule,
-    "motzkin2": rules.motzkin_jump_rule,
-    "avoid": rules.avoid_rule,
+    "catalan-plain": "catalan_plain_rule",
+    "catalan-marked": "catalan_marked_rule",
+    "motzkin2": "motzkin_jump_rule",
+    "avoid": "avoid_rule",
 }
 
 
 def cmd_rule(args) -> int:
+    from . import rules
+
+    make = getattr(rules, _RULES[args.name])
     if args.levels > RULE_LEVELS_CAP:
         raise ValueError(f"levels must be at most {RULE_LEVELS_CAP}")
     if args.name == "avoid":
         if args.j is None:
             raise ValueError("the avoid rule needs --j")
-        spec = rules.avoid_rule(args.j)
+        spec = make(args.j)
     elif args.j is not None:
         raise ValueError("--j applies only to the avoid rule")
     else:
-        spec = _RULES[args.name]()
+        spec = make()
     census = rules.expand(spec, args.levels)
     sys.stdout.write(render_matrix(census.matrix(), args.format))
     return 0
@@ -161,6 +167,8 @@ def _node_csv(n: dict) -> str:
 
 
 def cmd_construct(args) -> int:
+    from . import paths
+
     fmt = args.format
     if args.what == "survivors":
         words = sorted(paths.survivors(args.j, args.level))
@@ -188,6 +196,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     if args.order > VERIFY_ORDER_CAP:
         raise ValueError(f"order must be at most {VERIFY_ORDER_CAP}")
     results = verify.run_checks(args.j, args.levels, args.order)

@@ -92,14 +92,9 @@ def triangles_from_table(table: BSeries) -> tuple[RiordanTriangle, RiordanTriang
 # -- closed forms for the family pattern 1^(j+1) 0^j -------------------------
 
 
-def _check_family(j: int, order: int) -> None:
-    family_pattern(j)
-    if order < j + 1:
-        raise ValueError("order too small to see the pattern term")
-
-
 def _family_radicand(j: int, order: int) -> USeries:
-    # 1 - 4t + 4t^(j+1)
+    # 1 - 4t + 4t^(j+1); below order j + 1 the last term truncates away
+    family_pattern(j)
     coeffs = [1, -4] + [0] * j
     coeffs[j + 1] += 4
     return USeries(coeffs, order=order)
@@ -107,13 +102,11 @@ def _family_radicand(j: int, order: int) -> USeries:
 
 def family_h(j: int, order: int) -> USeries:
     """The h of the family triangle: (1 - sqrt(1 - 4t + 4t^(j+1))) / 2."""
-    _check_family(j, order)
     return (1 - _family_radicand(j, order).sqrt()) / 2
 
 
 def family_d(j: int, order: int) -> USeries:
     """The d of the family triangle: 1 / sqrt(1 - 4t + 4t^(j+1))."""
-    _check_family(j, order)
     return 1 / _family_radicand(j, order).sqrt()
 
 
@@ -140,6 +133,8 @@ def family_a(j: int, order: int) -> USeries:
 
 def family_z(j: int, order: int) -> USeries:
     """The family's Z-sequence (column-zero recurrence coefficients)."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
     return z_sequence(family_d(j, order + 1), family_h(j, order + 1))
 
 

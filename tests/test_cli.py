@@ -375,6 +375,12 @@ class TestUsageErrors:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_negative_series_order(self, capsys):
+        rc, out, err = run(capsys, "series", "z", "--j", "2", "--order", "-1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_verify_order_cap(self, capsys):
         rc, _, err = run(capsys, "verify", "--j", "1", "--levels", "2",
                          "--order", str(VERIFY_ORDER_CAP + 1))
