@@ -29,7 +29,7 @@ FORMATS = ("csv", "json", "text")
 # the rule cap: a marked jump of j + 1 levels beyond the last one never
 # fires.  At j = 300, family_a at order 100 takes about 0.11 s, expand of
 # the avoid rule at 300 levels (j = 299) 0.13 s and build_tree to level 8
-# 0.25 s.
+# 0.15 s.
 TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100
 VERIFY_ORDER_CAP = 80

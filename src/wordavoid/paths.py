@@ -15,19 +15,21 @@ blocks are indivisible occurrences of the forbidden factor '1' * (j+1) +
 parity of its marked blocks, and summing signs per word annihilates every
 word containing the factor while leaving each avoider exactly once.
 
-What is validated where: the public `AnnotatedPath` constructor checks
-everything (j, the letters, and every marked block), and so does every path
-`zero1_forward` and `zero1_inverse` return.  The tree grows a child from
-its parent with `_extend`, which checks only the blocks the child appends:
-the parent's steps and marks are the child's prefix and were checked when
-the parent was built.  `ConstructionNode` checks its invariants (level,
-endpoint, mark parity) on every node.
+What is validated where: each class has one checking constructor.
+`AnnotatedPath(j, steps, marks)` checks j, that `steps` is a string over
+0/1, and every marked block; every path `zero1_forward` and `zero1_inverse`
+return goes through it.  `ConstructionNode(path, label, level)` checks the
+level, the endpoint and the mark parity against the path's own string, on
+every node.  The tree grows a child's path from its parent with `_extend`,
+which checks only the blocks the child appends: the parent's steps and
+marks are the child's prefix and were checked when the parent was built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 
 from .pattern import TooLarge, family_pattern
 from .rules import PLAIN, ZERO1, ZERO2, Label, LevelCensus
@@ -53,10 +55,9 @@ def complement(word: str) -> str:
     return word.translate(_COMPLEMENT)
 
 
-def _check_blocks(j: int, steps: str, marks, prev_end: int | None = None) -> None:
+def _check_blocks(block: str, steps: str, marks, prev_end: int | None = None) -> None:
     # marks sorted; prev_end is where the last block before them ends
-    span = 2 * j + 1
-    block = family_pattern(j)
+    span = len(block)
     for s in marks:
         if s < 0 or s + span > len(steps):
             raise ValueError(f"marked block at {s} leaves the path")
@@ -67,7 +68,7 @@ def _check_blocks(j: int, steps: str, marks, prev_end: int | None = None) -> Non
         prev_end = s + span
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AnnotatedPath:
     """A path plus the start indices of its marked blocks.
 
@@ -81,13 +82,16 @@ class AnnotatedPath:
     steps: str
     marks: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        family_pattern(self.j)
-        if set(self.steps) - {"0", "1"}:
+    def __init__(self, j: int, steps: str, marks=()):
+        block = family_pattern(j)
+        if not isinstance(steps, str) or steps.strip("01"):
             raise ValueError("steps must be a string over 0/1")
-        marks = tuple(sorted(self.marks))
-        object.__setattr__(self, "marks", marks)
-        _check_blocks(self.j, self.steps, marks)
+        marks = tuple(sorted(marks))
+        if marks:
+            _check_blocks(block, steps, marks)
+        _set_j(self, j)
+        _set_steps(self, steps)
+        _set_marks(self, marks)
 
     @property
     def span(self) -> int:
@@ -118,6 +122,23 @@ class AnnotatedPath:
         return any(s <= i < s + self.span for s in self.marks)
 
 
+# The slot descriptors set a field past the frozen __setattr__.
+_set_j = AnnotatedPath.j.__set__
+_set_steps = AnnotatedPath.steps.__set__
+_set_marks = AnnotatedPath.marks.__set__
+
+
+def _cut_points(path: AnnotatedPath) -> bytearray:
+    """A 0/1 mask over points 0 .. len(steps): 1 where the point lies
+    strictly inside a marked block, filled in one pass over the marks."""
+    span = 2 * path.j + 1
+    inner = b"\x01" * (span - 1)
+    cut = bytearray(len(path.steps) + 1)
+    for s in path.marks:
+        cut[s + 1 : s + span] = inner
+    return cut
+
+
 def _extend(path: AnnotatedPath, body: str, added: tuple[int, ...],
             falls) -> list[AnnotatedPath]:
     """The paths path + body + '0' * f for each f in `falls`, all sharing
@@ -125,16 +146,18 @@ def _extend(path: AnnotatedPath, body: str, added: tuple[int, ...],
     each must spell the factor within path + body, after every earlier
     block."""
     prefix = path.steps + body
+    j = path.j
     if added:
-        last = path.marks[-1] + path.span if path.marks else None
-        _check_blocks(path.j, prefix, added, last)
+        block = family_pattern(j)
+        last = path.marks[-1] + len(block) if path.marks else None
+        _check_blocks(block, prefix, added, last)
     marks = path.marks + added
     out = []
     for f in falls:
         grown = object.__new__(AnnotatedPath)
-        object.__setattr__(grown, "j", path.j)
-        object.__setattr__(grown, "steps", prefix + "0" * f)
-        object.__setattr__(grown, "marks", marks)
+        _set_j(grown, j)
+        _set_steps(grown, prefix + "0" * f)
+        _set_marks(grown, marks)
         out.append(grown)
     return out
 
@@ -171,7 +194,7 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
     is read.
     """
     steps = path.steps
-    if path.endpoint != 1:
+    if 2 * steps.count("1") - len(steps) != 1:
         raise MalformedInput("input must end at ordinate 1")
     # walk back from ordinate 1; unit steps land exactly on the axis at i
     i, o = len(steps), 1
@@ -182,10 +205,11 @@ def zero1_forward(path: AnnotatedPath) -> AnnotatedPath:
     # interior points, and every point after i lies above the axis
     if not path.marks or path.marks[-1] < i:
         return AnnotatedPath(path.j, steps[:i] + complement(steps[i:]) + "1", path.marks)
+    cut = _cut_points(path)
     z, top = i, 0
     for m in range(i + 1, len(steps) + 1):
         o += 1 if steps[m - 1] == "1" else -1
-        if o > top and not path.is_interior_point(m):
+        if o > top and not cut[m]:
             z, top = m, o
     return _rotated(path, i, "0", i, z)
 
@@ -205,12 +229,14 @@ def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
     n = len(steps)
     if not steps or path.endpoint != 0:
         raise NotInImage("image paths end on the axis")
-    # walk back from the end; o is the ordinate of point d
+    cut = _cut_points(path)
+    # walk back from the end; o is the ordinate of point d.  Step d lies in
+    # a block exactly when point d or d + 1 is cut: a block has 3+ steps.
     d, o = n, 0
     while d:
         d -= 1
         o += 1 if steps[d] == "0" else -1
-        if o == 0 and steps[d] == "0" and not path.step_in_mark(d):
+        if o == 0 and steps[d] == "0" and not (cut[d] or cut[d + 1]):
             break
     else:
         raise NotInImage("no cut step qualifies")
@@ -219,7 +245,7 @@ def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
         l, low, o = d + 1, -1, -1
         for m in range(d + 2, n):
             o += 1 if steps[m - 1] == "1" else -1
-            if o >= 0 and not path.is_interior_point(m):
+            if o >= 0 and not cut[m]:
                 raise NotInImage("an uncut point right of d is not below the axis")
             if o <= low:
                 l, low = m, o
@@ -231,7 +257,7 @@ def zero1_inverse(path: AnnotatedPath) -> AnnotatedPath:
     return AnnotatedPath(path.j, steps[:d] + complement(steps[d : n - 1]), path.marks)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConstructionNode:
     """A tree node: its path, its rule label, and its level."""
 
@@ -239,17 +265,27 @@ class ConstructionNode:
     label: Label
     level: int
 
-    def __post_init__(self):
-        if self.level != self.path.rises:
+    def __init__(self, path: AnnotatedPath, label: Label, level: int):
+        steps = path.steps
+        rises = steps.count("1")
+        if level != rises:
             raise ValueError("level must equal the number of rise steps")
-        if self.label.value != self.path.endpoint:
+        if label.value != 2 * rises - len(steps):
             raise ValueError("label value must equal the endpoint ordinate")
-        if self.label.marked != (len(self.path.marks) % 2 == 1):
+        if label.marked != (len(path.marks) % 2 == 1):
             raise ValueError("label mark must match the block parity")
+        _set_path(self, path)
+        _set_label(self, label)
+        _set_level(self, level)
 
     @property
     def sign(self) -> int:
         return -1 if self.label.marked else 1
+
+
+_set_path = ConstructionNode.path.__set__
+_set_label = ConstructionNode.label.__set__
+_set_level = ConstructionNode.level.__set__
 
 
 @cache
@@ -271,7 +307,7 @@ def _children(node: ConstructionNode, added: tuple[int, ...], body: str,
     # the (h) child, and the (0_2) child for h = 0, ends with k + 1 - h falls
     grown = _extend(node.path, body, added, range(k + 1, -1, -1))
     kids = [ConstructionNode(zero1_forward(grown[1]), labels[0], level)]
-    kids += [ConstructionNode(p, label, level) for p, label in zip(grown, labels[1:])]
+    kids += map(ConstructionNode, grown, labels[1:], repeat(level))
     return kids
 
 
@@ -300,11 +336,14 @@ def build_tree(j: int, max_level: int) -> list[list[ConstructionNode]]:
         raise TooLarge(f"levels beyond {limit} for j={j} are too big to build")
     levels: list[list[ConstructionNode]] = [[] for _ in range(max_level + 1)]
     levels[0].append(ConstructionNode(AnnotatedPath(j, ""), Label(0), 0))
-    for lv in range(max_level + 1):
-        for node in levels[lv]:
-            for jump, produce in ((1, produce_plain), (j + 1, produce_marked)):
-                if lv + jump <= max_level:
-                    levels[lv + jump].extend(produce(node))
+    # level m gets the marked children of level m - j - 1, then the plain
+    # children of level m - 1
+    for lv, nodes in enumerate(levels):
+        for jump, produce in ((1, produce_plain), (j + 1, produce_marked)):
+            if lv + jump <= max_level:
+                extend = levels[lv + jump].extend
+                for node in nodes:
+                    extend(produce(node))
     return levels
 
 

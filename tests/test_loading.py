@@ -120,3 +120,27 @@ assert wordavoid.build_tree is wordavoid.paths.build_tree is original
 print("ok")
 """
     assert fresh(code, ROOT / "perfbench") == "ok\n"
+
+
+def test_traced_construction_yields_layer_metrics():
+    # the tracer nests build_tree inside survivors and counts the forward
+    # map's calls; layer_metrics reads both
+    code = """
+import tracer
+from wordavoid import paths
+t = tracer.Tracer()
+t.install()
+try:
+    paths.survivors(1, 3)
+    paths.build_tree(2, 3)
+finally:
+    t.uninstall()
+metrics = tracer.layer_metrics(t.spans)
+want = len(paths.survivors(1, 3)) / len(paths.build_tree(1, 3)[3])
+assert metrics["paths.survivor_yield"] == want, (metrics["paths.survivor_yield"], want)
+nodes = sum(map(len, paths.build_tree(1, 3) + paths.build_tree(2, 3)))
+assert metrics["paths.nodes"] == nodes, (metrics["paths.nodes"], nodes)
+assert metrics["paths.zero1_forward_calls"] > 0
+print("ok")
+"""
+    assert fresh(code, ROOT / "perfbench") == "ok\n"

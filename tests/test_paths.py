@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -30,7 +32,7 @@ from wordavoid.paths import (
     zero1_forward,
     zero1_inverse,
 )
-from wordavoid.rules import Label, avoid_rule, expand
+from wordavoid.rules import ZERO1, Label, avoid_rule, expand
 
 
 def path(steps, *marks, j=1):
@@ -90,6 +92,19 @@ def _all_marked_paths(j, n):
                     yield AnnotatedPath(j, word, marks)
 
 
+def _valid(j, steps, marks):
+    """Whether AnnotatedPath(j, steps, marks) may exist, decided without
+    the package: letters 0/1 only, each block inside the path spelling the
+    factor, and blocks pairwise disjoint in any order given."""
+    if not isinstance(steps, str) or any(c not in "01" for c in steps):
+        return False
+    span = 2 * j + 1
+    block = "1" * (j + 1) + "0" * j
+    if any(not 0 <= s <= len(steps) - span or steps[s : s + span] != block for s in marks):
+        return False
+    return all(abs(a - b) >= span for a, b in itertools.combinations(marks, 2))
+
+
 class TestComplement:
     def test_swaps_letters(self):
         assert complement("0110") == "1001"
@@ -126,6 +141,44 @@ class TestAnnotatedPath:
             path("110", 1)  # runs past the end
         with pytest.raises(ValueError):
             path("110110", 0, 0)  # marks must be disjoint
+
+    @pytest.mark.parametrize("steps,marks", [
+        (["1", "1", "0", "1"], ()),
+        (("1", "1", "0"), (0,)),
+        (b"1101", ()),
+        (b"110", (0,)),
+    ])
+    def test_rejects_steps_that_are_not_a_string(self, steps, marks):
+        with pytest.raises(ValueError, match="steps must be a string over 0/1"):
+            AnnotatedPath(1, steps, marks)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_constructor_matches_a_validity_oracle(self, j):
+        # every 0/1 string up to length 8 with every set of up to two starts
+        # in -1 .. n, repeats included, each given in both orders; and every
+        # three-block set of starts from the string's own occurrences
+        block = "1" * (j + 1) + "0" * j
+        accepted = 0
+        for n in range(9):
+            for bits in itertools.product("01", repeat=n):
+                steps = "".join(bits)
+                found = [s for s in range(n) if steps.startswith(block, s)]
+                sets = itertools.chain(
+                    itertools.chain.from_iterable(
+                        itertools.combinations_with_replacement(range(-1, n + 1), size)
+                        for size in range(3)),
+                    itertools.combinations(found, 3))
+                for marks in sets:
+                    for given in (marks, marks[::-1]):
+                        try:
+                            p = AnnotatedPath(j, steps, given)
+                        except ValueError:
+                            assert not _valid(j, steps, given), (steps, given)
+                        else:
+                            assert _valid(j, steps, given), (steps, given)
+                            assert (p.j, p.steps, p.marks) == (j, steps, tuple(sorted(given)))
+                            accepted += 1
+        assert accepted > 1000
 
     def test_empty_path_allowed(self):
         p = path("")
@@ -302,6 +355,22 @@ class TestRoundTrip:
         assert {m for m in range(n + 1) if p.is_interior_point(m)} == inside
         assert {i for i in range(n) if p.step_in_mark(i)} == covered
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_cut_mask_matches_the_predicates(self, j):
+        # every marked path of up to 10 steps: the one-pass mask both maps
+        # read cuts exactly the interior points, and a step lies in a block
+        # exactly when a point at either end of it is cut
+        for n in range(11):
+            for p in _all_marked_paths(j, n):
+                inside = {s + k for s in p.marks for k in range(1, p.span)}
+                covered = {s + k for s in p.marks for k in range(p.span)}
+                cut = paths._cut_points(p)
+                assert len(cut) == n + 1
+                assert {m for m in range(n + 1) if cut[m]} == inside
+                assert {m for m in range(n + 1) if p.is_interior_point(m)} == inside
+                assert {i for i in range(n) if cut[i] or cut[i + 1]} == covered
+                assert {i for i in range(n) if p.step_in_mark(i)} == covered
+
 
 class TestConstructionNodes:
     def axiom(self, j=1):
@@ -355,10 +424,36 @@ class TestConstructionNodes:
         with pytest.raises(ValueError):
             _extend(path("110110", 3), "", (0,), [0])  # before the parent's block
 
+    def test_tree_checks_every_label(self, monkeypatch):
+        # the last plain child of every production gets a label one too high
+        labels = paths._child_labels
+
+        def bumped(k, marked):
+            *head, last = labels(k, marked)
+            return (*head, Label(last.value + 1, last.variant, last.marked))
+
+        monkeypatch.setattr(paths, "_child_labels", bumped)
+        with pytest.raises(ValueError, match="label value must equal the endpoint ordinate"):
+            build_tree(1, 3)
+
+    def test_tree_checks_every_forward_image(self, monkeypatch):
+        # each marked image comes back with its blocks one step late
+        forward = paths.zero1_forward
+
+        def shifted(p):
+            image = forward(p)
+            return AnnotatedPath(image.j, image.steps, tuple(s + 1 for s in image.marks))
+
+        monkeypatch.setattr(paths, "zero1_forward", shifted)
+        with pytest.raises(ValueError, match="do not spell the factor|leaves the path"):
+            build_tree(1, 3)
+
     def test_nodes_carry_no_instance_dict(self):
         node = build_tree(1, 2)[2][0]
         for obj in (node, node.path, node.label):
             assert not hasattr(obj, "__dict__")
+        assert AnnotatedPath.__slots__ == ("j", "steps", "marks")
+        assert ConstructionNode.__slots__ == ("path", "label", "level")
 
     def test_node_json(self):
         node = ConstructionNode(path("110", 0), Label(1, marked=True), 2)
@@ -368,6 +463,50 @@ class TestConstructionNodes:
             "label": {"value": 1, "variant": "plain", "marked": True},
             "level": 2,
         }
+
+
+class TestDataclassBehaviour:
+    PATH = AnnotatedPath(1, "0110", (1,))
+    NODE = ConstructionNode(PATH, Label(0, ZERO1, marked=True), 2)
+
+    def test_frozen(self):
+        for obj, name, value in ((self.PATH, "steps", "1"), (self.NODE, "level", 3)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del self.PATH.marks
+
+    def test_equal_objects_hash_equally(self):
+        path = AnnotatedPath(1, "0110", [1])
+        node = ConstructionNode(path, Label(0, ZERO1, marked=True), 2)
+        assert path == self.PATH and hash(path) == hash(self.PATH)
+        assert node == self.NODE and hash(node) == hash(self.NODE)
+        assert AnnotatedPath(2, "0110") != AnnotatedPath(1, "0110")
+        assert pickle.loads(pickle.dumps(self.NODE)) == self.NODE
+
+    def test_repr(self):
+        assert repr(self.PATH) == "AnnotatedPath(j=1, steps='0110', marks=(1,))"
+        assert repr(self.NODE) == (
+            "ConstructionNode(path=AnnotatedPath(j=1, steps='0110', marks=(1,)), "
+            "label=Label(value=0, variant='zero1', marked=True), level=2)"
+        )
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(AnnotatedPath)] == ["j", "steps", "marks"]
+        assert dataclasses.fields(AnnotatedPath)[2].default == ()
+        assert AnnotatedPath(1, "1").marks == ()
+        assert [f.name for f in dataclasses.fields(ConstructionNode)] == ["path", "label", "level"]
+
+    def test_replace_revalidates(self):
+        assert dataclasses.replace(self.PATH, steps="1100", marks=[0]) == path("1100", 0)
+        with pytest.raises(ValueError, match="do not spell the factor"):
+            dataclasses.replace(self.PATH, marks=(0,))
+        with pytest.raises(ValueError, match="steps must be a string over 0/1"):
+            dataclasses.replace(self.PATH, steps="0120")
+        with pytest.raises(ValueError, match="level must equal the number of rise steps"):
+            dataclasses.replace(self.NODE, level=3)
+        with pytest.raises(ValueError, match="label mark must match the block parity"):
+            dataclasses.replace(self.NODE, path=path("0101"))
 
 
 class TestTree:
