@@ -21,8 +21,9 @@ What is validated where: each class has one checking constructor.
 return goes through it.  `ConstructionNode(path, label, level)` checks the
 level, the endpoint and the mark parity against the path's own string, on
 every node.  The tree grows a child's path from its parent with `_extend`,
-which checks only the blocks the child appends: the parent's steps and
-marks are the child's prefix and were checked when the parent was built.
+which checks nothing: it appends a rise, or spells the factor itself as one
+new block at the path's end, behind the parent's checked steps and marks,
+and then the falls.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cache
 from itertools import repeat
 
 from .pattern import TooLarge, family_pattern
-from .rules import PLAIN, ZERO1, ZERO2, Label, LevelCensus
+from .rules import PLAIN, ZERO1, ZERO2, Label, LevelCensus, _refuse_mutation
 
 
 class MalformedInput(Exception):
@@ -55,19 +56,6 @@ def complement(word: str) -> str:
     return word.translate(_COMPLEMENT)
 
 
-def _check_blocks(block: str, steps: str, marks, prev_end: int | None = None) -> None:
-    # marks sorted; prev_end is where the last block before them ends
-    span = len(block)
-    for s in marks:
-        if s < 0 or s + span > len(steps):
-            raise ValueError(f"marked block at {s} leaves the path")
-        if steps[s : s + span] != block:
-            raise ValueError(f"steps at {s} do not spell the factor")
-        if prev_end is not None and s < prev_end:
-            raise ValueError("marked blocks overlap")
-        prev_end = s + span
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class AnnotatedPath:
     """A path plus the start indices of its marked blocks.
@@ -87,8 +75,15 @@ class AnnotatedPath:
         if not isinstance(steps, str) or steps.strip("01"):
             raise ValueError("steps must be a string over 0/1")
         marks = tuple(sorted(marks))
-        if marks:
-            _check_blocks(block, steps, marks)
+        end = 0  # where the block before s ends
+        for s in marks:
+            if s < 0 or s + len(block) > len(steps):
+                raise ValueError(f"marked block at {s} leaves the path")
+            if steps[s : s + len(block)] != block:
+                raise ValueError(f"steps at {s} do not spell the factor")
+            if s < end:
+                raise ValueError("marked blocks overlap")
+            end = s + len(block)
         _set_j(self, j)
         _set_steps(self, steps)
         _set_marks(self, marks)
@@ -115,13 +110,8 @@ class AnnotatedPath:
             out.append(out[-1] + (1 if ch == "1" else -1))
         return out
 
-    def is_interior_point(self, m: int) -> bool:
-        return any(s < m < s + self.span for s in self.marks)
 
-    def step_in_mark(self, i: int) -> bool:
-        return any(s <= i < s + self.span for s in self.marks)
-
-
+AnnotatedPath.__setattr__ = AnnotatedPath.__delattr__ = _refuse_mutation
 # The slot descriptors set a field past the frozen __setattr__.
 _set_j = AnnotatedPath.j.__set__
 _set_steps = AnnotatedPath.steps.__set__
@@ -139,24 +129,22 @@ def _cut_points(path: AnnotatedPath) -> bytearray:
     return cut
 
 
-def _extend(path: AnnotatedPath, body: str, added: tuple[int, ...],
-            falls) -> list[AnnotatedPath]:
-    """The paths path + body + '0' * f for each f in `falls`, all sharing
-    the marks of `path` plus `added`.  Only the `added` blocks are checked:
-    each must spell the factor within path + body, after every earlier
-    block."""
-    prefix = path.steps + body
-    j = path.j
-    if added:
-        block = family_pattern(j)
-        last = path.marks[-1] + len(block) if path.marks else None
-        _check_blocks(block, prefix, added, last)
-    marks = path.marks + added
+def _extend(path: AnnotatedPath, marked: bool, falls) -> list[AnnotatedPath]:
+    """The paths path + tail + '0' * f for each f in `falls`.  The tail is a
+    rise, or with `marked` the factor, spelled here as one new marked block
+    at the path's end."""
+    j, steps = path.j, path.steps
+    if marked:
+        marks = path.marks + (len(steps),)
+        steps += family_pattern(j)
+    else:
+        marks = path.marks
+        steps += "1"
     out = []
     for f in falls:
         grown = object.__new__(AnnotatedPath)
         _set_j(grown, j)
-        _set_steps(grown, prefix + "0" * f)
+        _set_steps(grown, steps + "0" * f)
         _set_marks(grown, marks)
         out.append(grown)
     return out
@@ -283,6 +271,7 @@ class ConstructionNode:
         return -1 if self.label.marked else 1
 
 
+ConstructionNode.__setattr__ = ConstructionNode.__delattr__ = _refuse_mutation
 _set_path = ConstructionNode.path.__set__
 _set_label = ConstructionNode.label.__set__
 _set_level = ConstructionNode.level.__set__
@@ -296,16 +285,15 @@ def _child_labels(k: int, marked: bool) -> tuple[Label, ...]:
     )
 
 
-def _children(node: ConstructionNode, added: tuple[int, ...], body: str,
-              jump: int) -> list[ConstructionNode]:
+def _children(node: ConstructionNode, marked: bool) -> list[ConstructionNode]:
     """The k+3 children of one production, the zero-sub-1 child first.  It
     is rearranged from its hook: the path of the (1) child, which ends at
     ordinate 1 and comes two places after it."""
     k = node.label.value
-    labels = _child_labels(k, node.label.marked != (len(added) % 2 == 1))
-    level = node.level + jump
+    labels = _child_labels(k, node.label.marked != marked)
+    level = node.level + (node.path.j + 1 if marked else 1)
     # the (h) child, and the (0_2) child for h = 0, ends with k + 1 - h falls
-    grown = _extend(node.path, body, added, range(k + 1, -1, -1))
+    grown = _extend(node.path, marked, range(k + 1, -1, -1))
     kids = [ConstructionNode(zero1_forward(grown[1]), labels[0], level)]
     kids += map(ConstructionNode, grown, labels[1:], repeat(level))
     return kids
@@ -314,13 +302,12 @@ def _children(node: ConstructionNode, added: tuple[int, ...], body: str,
 def produce_plain(node: ConstructionNode) -> list[ConstructionNode]:
     """The k+3 children one level down: a rise and a tail of falls, with
     the axis-rise child routed through `zero1_forward`."""
-    return _children(node, (), "1", 1)
+    return _children(node, False)
 
 
 def produce_marked(node: ConstructionNode) -> list[ConstructionNode]:
     """The k+3 children j+1 levels down, each gaining one marked block."""
-    start = len(node.path.steps)
-    return _children(node, (start,), node.path.block, node.path.j + 1)
+    return _children(node, True)
 
 
 def build_tree(j: int, max_level: int) -> list[list[ConstructionNode]]:

@@ -31,7 +31,7 @@ class Pattern:
     bits: str
 
     def __post_init__(self):
-        if not self.bits or set(self.bits) - {"0", "1"}:
+        if not isinstance(self.bits, str) or not self.bits or self.bits.strip("01"):
             raise ValueError("pattern must be a nonempty string over 0/1")
 
     @property
@@ -89,11 +89,8 @@ def correlation_terms(p: "Pattern | str") -> list[tuple[int, int]]:
 
 def correlation_polynomial(p: "Pattern | str", order: int) -> BSeries:
     """The correlation polynomial as a bivariate series, x marking ones and
-    y marking zeros of each tail.  Needs a grid large enough to hold every
-    term, hence order >= max(ones, zeros) of the pattern."""
-    p = as_pattern(p)
-    if order < max(p.ones, p.zeros):
-        raise ValueError("order too small to hold the correlation polynomial")
+    y marking zeros of each tail, truncated to the grid 0..order like any
+    `BSeries.from_terms`: a term past the grid drops."""
     return BSeries.from_terms({t: 1 for t in correlation_terms(p)}, order)
 
 
@@ -107,7 +104,7 @@ def avoider_table(p: "Pattern | str", order: int) -> BSeries:
     division visits only those, so the table costs O(order^2 * t).
     """
     p = as_pattern(p)
-    c = BSeries.from_terms({t: 1 for t in correlation_terms(p)}, order)
+    c = correlation_polynomial(p, order)
     linear = BSeries.from_terms({(0, 0): 1, (1, 0): -1, (0, 1): -1}, order)
     denom = linear * c + BSeries.from_terms({(p.ones, p.zeros): 1}, order)
     return c / denom

@@ -59,18 +59,18 @@ class RiordanTriangle:
         return f"RiordanTriangle(order={self.order})"
 
 
-def from_dh(d: USeries, h: USeries, order: int) -> RiordanTriangle:
-    """Triangle entry (n, k) = [t^n] d * h^k.  Entries must be integers."""
-    if d.coeff(0) == 0 or h.coeff(0) != 0 or h.coeff(1) == 0:
+def from_dh(d: USeries, h: USeries) -> RiordanTriangle:
+    """Triangle entry (n, k) = [t^n] d * h^k, to the smaller of the two
+    series' orders.  Entries must be integers.  h'(0) is checked only when
+    h carries a t term: the single row of an order-0 triangle is d(0)."""
+    if d.coeffs[0] == 0 or h.coeffs[0] != 0 or (h.order > 0 and h.coeffs[1] == 0):
         raise NotProper("need d(0) != 0, h(0) = 0, h'(0) != 0")
-    if order > min(d.order, h.order):
-        raise ValueError("series orders too small for the requested triangle")
-    rows = [[0] * (n + 1) for n in range(order + 1)]
-    col = USeries(d.coeffs, order=order)
-    h = USeries(h.coeffs, order=order)
+    order = min(d.order, h.order)
+    rows = [[] for _ in range(order + 1)]
+    col = d
     for k in range(order + 1):
         for n in range(k, order + 1):
-            rows[n][k] = col.coeff(n)
+            rows[n].append(col.coeffs[n])
         col = col * h
     return RiordanTriangle(rows)
 
@@ -111,7 +111,7 @@ def family_d(j: int, order: int) -> USeries:
 
 
 def family_triangle(j: int, order: int) -> RiordanTriangle:
-    return from_dh(family_d(j, order), family_h(j, order), order)
+    return from_dh(family_d(j, order), family_h(j, order))
 
 
 def family_a_polynomial(j: int) -> list[list[Rational]]:
@@ -164,8 +164,7 @@ def z_sequence(d: USeries, h: USeries) -> USeries:
 
 def d_from_z(d0: Rational, z: USeries, h: USeries) -> USeries:
     """Rebuild d from its constant term and the Z-sequence."""
-    zh = z.compose(USeries(h.coeffs, order=min(z.order, h.order)))
-    return d0 / (1 - zh.shift_up())
+    return d0 / (1 - z.compose(h).shift_up())
 
 
 # -- recurrence verification ---------------------------------------------------

@@ -12,7 +12,7 @@ same value on the same level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable
 
 from .pattern import family_pattern
@@ -22,6 +22,15 @@ ZERO1 = "zero1"
 ZERO2 = "zero2"
 
 _VARIANTS = (PLAIN, ZERO1, ZERO2)
+
+
+def _refuse_mutation(self, name: str, *value) -> None:
+    """The `__setattr__` and `__delattr__` of the package's frozen slotted
+    classes.  On Python 3.11 the pair `dataclass` writes for them raises
+    TypeError on a name that is not a field: it calls super() on the class
+    that slots=True replaced."""
+    raise FrozenInstanceError(f"cannot set or delete {name!r} on a frozen "
+                              f"{type(self).__name__}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,6 +51,9 @@ class Label:
 
     def flipped(self) -> "Label":
         return Label(self.value, self.variant, not self.marked)
+
+
+Label.__setattr__ = Label.__delattr__ = _refuse_mutation
 
 
 @dataclass(frozen=True)

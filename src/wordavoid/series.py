@@ -222,10 +222,9 @@ class USeries:
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs inner(0) = 0")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
         acc = USeries([self.coeffs[n]], order=n)
         for i in range(n - 1, -1, -1):
-            acc = acc * g + self.coeffs[i]
+            acc = acc * inner + self.coeffs[i]
         return acc
 
     def revert(self) -> "USeries":
@@ -309,14 +308,11 @@ def solve_polynomial(
     """
     if not poly:
         raise ValueError("empty polynomial")
-    a0 = _frac(a0)
     coeffs = [USeries(p, order=order) for p in poly]
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    value0 = sum(c.coeffs[0] * a0**i for i, c in enumerate(coeffs))
-    slope0 = sum(c.coeffs[0] * i * a0 ** (i - 1) for i, c in enumerate(coeffs) if i)
-    if value0 != 0 or slope0 == 0:
-        raise SingularRoot("need P(a0, 0) = 0 with dP/dA(a0, 0) != 0")
     a = USeries([a0], order=0)
+    if _eval_poly(coeffs, a).coeffs[0] != 0 or _eval_poly(deriv, a).coeffs[0] == 0:
+        raise SingularRoot("need P(a0, 0) = 0 with dP/dA(a0, 0) != 0")
     while a.order < order:
         at = USeries(a.coeffs, order=min(2 * a.order + 1, order))
         a = at - _eval_poly(coeffs, at) / _eval_poly(deriv, at)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -316,6 +317,24 @@ class TestConstruct:
                          "10,,0,zero2,False"]
 
 
+# (line count, sha256) of `construct nodes --j J --level L csv`: deeper
+# trees than the pinned level 2, with paths that carry two or more marks
+NODES_CSV_SHA256 = {
+    (1, 6): (4817, "95895885fe54fd69332325a0c9adab3b7da0d8e12e233b466423cf8208dd63b0"),
+    (2, 7): (8850, "0f0296f00e6c6bd851320de24fdc158be0ccaac0f7a3835adb4696fc50941310"),
+    (3, 8): (26630, "0695def28ac9d0ae1d37c6e404a7a0d918ae7e4c8689a1213752d54318c49281"),
+}
+
+
+@pytest.mark.parametrize("j,level", sorted(NODES_CSV_SHA256))
+def test_deep_nodes_csv_pinned(capsys, j, level):
+    rc, out, _ = run(capsys, "construct", "nodes", "--j", str(j), "--level", str(level), "csv")
+    assert rc == 0
+    assert any(line.split(",")[1].count(";") for line in out.splitlines())
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (out.count("\n"), digest) == NODES_CSV_SHA256[j, level]
+
+
 class TestVerify:
     def test_passes(self, capsys):
         rc, out, _ = run(capsys, "verify", "--j", "1", "--levels", "4")
@@ -329,6 +348,57 @@ class TestVerify:
         results = json.loads(out)
         assert all(r["passed"] for r in results)
         assert {"name", "passed", "detail"} == set(results[0])
+
+
+def csv_rows(out):
+    return [[int(c) for c in line.split(",")] for line in out.splitlines()]
+
+
+class TestAtTheCaps:
+    """Each documented cap is allowed at its exact value."""
+
+    def test_table(self, capsys):
+        rc, out, _ = run(capsys, "table", "10" * 20, str(TABLE_ORDER_CAP), "csv")
+        assert rc == 0
+        rows = csv_rows(out)
+        assert [len(row) for row in rows] == [TABLE_ORDER_CAP + 1] * (TABLE_ORDER_CAP + 1)
+        assert rows[0] == [1] * (TABLE_ORDER_CAP + 1)
+
+    def test_triangle(self, capsys):
+        rc, out, _ = run(capsys, "triangle", "--j", "2", str(TABLE_ORDER_CAP), "csv")
+        assert rc == 0
+        assert [len(row) for row in csv_rows(out)] == list(range(1, TABLE_ORDER_CAP + 2))
+        golden = (GOLDEN / "table3_11100.csv").read_text()
+        assert out.startswith(golden)
+
+    @pytest.mark.parametrize("kind,j", [("z", 3), ("a", 99)])
+    def test_series(self, capsys, kind, j):
+        argv = ["series", kind, "--j", str(j), "csv", "--order"]
+        rc, out, _ = run(capsys, *argv, str(SERIES_ORDER_CAP))
+        assert rc == 0
+        (coeffs,) = csv_rows(out)
+        assert len(coeffs) == SERIES_ORDER_CAP + 1
+        assert coeffs[:10] == csv_rows(run(capsys, *argv, "9")[1])[0]
+
+    def test_verify(self, capsys):
+        rc, out, _ = run(capsys, "verify", "--j", str(VERIFY_ORDER_CAP - 1),
+                         "--levels", "2", "--order", str(VERIFY_ORDER_CAP))
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines and all(line.startswith("PASS") for line in lines)
+
+    def test_rule(self, capsys):
+        rc, out, _ = run(capsys, "rule", "avoid", str(RULE_LEVELS_CAP), "--j", "3", "csv")
+        assert rc == 0
+        rows = csv_rows(out)
+        assert [len(row) for row in rows] == [RULE_LEVELS_CAP + 1] * (RULE_LEVELS_CAP + 1)
+        assert all(not any(row[n + 1 :]) and row[n] == 1 for n, row in enumerate(rows))
+
+    def test_construct(self, capsys):
+        # the level guard is 8 for every j but 1
+        rc, out, _ = run(capsys, "construct", "census", "--j", "2", "--level", "8", "csv")
+        assert rc == 0
+        assert out == run(capsys, "rule", "avoid", "8", "--j", "2", "csv")[1]
 
 
 class TestUsageErrors:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import itertools
 import pickle
@@ -119,12 +120,6 @@ class TestAnnotatedPath:
         assert p.rises == 6
         assert p.endpoint == 2
         assert p.ordinates() == [0, 1, 2, 3, 2, 1, 2, 3, 4, 3, 2]
-        assert p.is_interior_point(7)
-        assert not p.is_interior_point(5)
-        assert not p.is_interior_point(10)
-        assert p.step_in_mark(5)
-        assert p.step_in_mark(9)
-        assert not p.step_in_mark(4)
 
     def test_marks_normalized_sorted(self):
         assert path("110110", 3, 0).marks == (0, 3)
@@ -346,15 +341,6 @@ class TestRoundTrip:
         image = zero1_forward(p)
         assert zero1_forward(zero1_inverse(image)) == image
 
-    @given(st.one_of(annotated_paths(end=0), annotated_paths(end=1)))
-    def test_block_predicates_match_the_marks(self, p):
-        # both maps cut wherever these two predicates allow
-        n = len(p.steps)
-        inside = {s + k for s in p.marks for k in range(1, p.span)}
-        covered = {s + k for s in p.marks for k in range(p.span)}
-        assert {m for m in range(n + 1) if p.is_interior_point(m)} == inside
-        assert {i for i in range(n) if p.step_in_mark(i)} == covered
-
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_cut_mask_matches_the_predicates(self, j):
         # every marked path of up to 10 steps: the one-pass mask both maps
@@ -367,9 +353,7 @@ class TestRoundTrip:
                 cut = paths._cut_points(p)
                 assert len(cut) == n + 1
                 assert {m for m in range(n + 1) if cut[m]} == inside
-                assert {m for m in range(n + 1) if p.is_interior_point(m)} == inside
                 assert {i for i in range(n) if cut[i] or cut[i + 1]} == covered
-                assert {i for i in range(n) if p.step_in_mark(i)} == covered
 
 
 class TestConstructionNodes:
@@ -415,14 +399,12 @@ class TestConstructionNodes:
                 ConstructionNode(n.path, n.label, n.level)
 
     def test_extension_checks_appended_blocks(self):
+        # the appended rise or block is spelled at the path's end, behind the
+        # parent's marks, and the grown paths pass the full constructor
         parent = path("110", 0)
-        assert _extend(parent, "110", (3,), [1]) == [path("1101100", 0, 3)]
-        with pytest.raises(ValueError):
-            _extend(parent, "101", (3,), [0])  # does not spell the factor
-        with pytest.raises(ValueError):
-            _extend(parent, "11", (3,), [0])  # leaves the body
-        with pytest.raises(ValueError):
-            _extend(path("110110", 3), "", (0,), [0])  # before the parent's block
+        assert _extend(parent, True, [1, 0]) == [path("1101100", 0, 3), path("110110", 0, 3)]
+        assert _extend(parent, False, [2, 0]) == [path("110100", 0), path("1101", 0)]
+        assert _extend(path("01", j=2), True, [0]) == [path("0111100", 2, j=2)]
 
     def test_tree_checks_every_label(self, monkeypatch):
         # the last plain child of every production gets a label one too high
@@ -507,6 +489,20 @@ class TestDataclassBehaviour:
             dataclasses.replace(self.NODE, level=3)
         with pytest.raises(ValueError, match="label mark must match the block parity"):
             dataclasses.replace(self.NODE, path=path("0101"))
+
+
+@pytest.mark.parametrize("obj", [
+    TestDataclassBehaviour.PATH, TestDataclassBehaviour.NODE, Label(0, ZERO1, marked=True),
+], ids=["path", "node", "label"])
+def test_frozen_refuses_attributes_that_are_not_fields(obj):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, "other", 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(obj, "other")
+    for field in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, field.name)
+    assert copy.deepcopy(obj) == obj and hash(copy.deepcopy(obj)) == hash(obj)
 
 
 class TestTree:

@@ -19,6 +19,7 @@ from wordavoid.pattern import (
     count_by_enumeration,
     family_pattern,
 )
+from wordavoid.series import BSeries
 
 
 class TestPattern:
@@ -39,6 +40,14 @@ class TestPattern:
             count_by_automaton("110", -1, 2)
         with pytest.raises(ValueError):
             count_by_enumeration("110", 2, -1)
+
+    @pytest.mark.parametrize("bits", [["1", "1", "0"], ("1", "0"), b"110", 110, None, ""],
+                             ids=["list", "tuple", "bytes", "int", "none", "empty"])
+    def test_rejects_bits_that_are_not_a_string(self, bits):
+        with pytest.raises(ValueError, match="pattern must be a nonempty string over 0/1"):
+            Pattern(bits)
+        with pytest.raises(ValueError, match="pattern must be a nonempty string over 0/1"):
+            count_by_automaton(bits, 2, 2)
 
     def test_as_pattern(self):
         p = Pattern("10")
@@ -77,8 +86,9 @@ class TestAutocorrelation:
         assert c.entry(1, 1) == 1
         assert c.entry(2, 2) == 1
         assert c.entry(1, 0) == 0
-        with pytest.raises(ValueError):
-            correlation_polynomial("101010", 1)
+        # a grid too small for every term truncates like any BSeries
+        small = BSeries.from_terms({(0, 0): 1, (1, 1): 1}, 1)
+        assert correlation_polynomial("101010", 1) == small
 
 
 class TestAvoiderTable:

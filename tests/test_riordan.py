@@ -79,35 +79,39 @@ class TestTriangleType:
 
 class TestFromDH:
     def test_all_ones(self):
-        r = from_dh(1 / u(1, -1, order=4), u(0, 1, order=4), 4)
+        r = from_dh(1 / u(1, -1, order=4), u(0, 1, order=4))
         assert r.rows == tuple((1,) * (n + 1) for n in range(5))
 
     def test_identity(self):
-        r = from_dh(u(1, order=3), u(0, 1, order=3), 3)
+        r = from_dh(u(1, order=3), u(0, 1, order=3))
         assert r.entry(2, 2) == 1
         assert r.entry(2, 1) == 0
+        # the order is the smaller of the two series' orders
+        assert from_dh(u(1, order=5), u(0, 1, order=3)) == r
+        assert from_dh(u(1), u(0)).rows == ((1,),)
 
     def test_pascal(self):
         geo = 1 / u(1, -1, order=5)
-        r = from_dh(geo, u(0, 1, order=5) * geo, 5)
+        r = from_dh(geo, u(0, 1, order=5) * geo)
         assert r.rows[4] == (1, 4, 6, 4, 1)
 
     def test_properness_enforced(self):
         t = u(0, 1, order=3)
         with pytest.raises(NotProper):
-            from_dh(u(0, 1, order=3), t, 3)
+            from_dh(u(0, 1, order=3), t)
         with pytest.raises(NotProper):
-            from_dh(u(1, order=3), u(1, 1, order=3), 3)
+            from_dh(u(1, order=3), u(1, 1, order=3))
         with pytest.raises(NotProper):
-            from_dh(u(1, order=3), u(0, 0, 1), 3)
-
-    def test_order_capped_by_inputs(self):
-        with pytest.raises(ValueError):
-            from_dh(u(1, order=3), u(0, 1, order=3), 5)
+            from_dh(u(1, order=3), u(0, 0, 1))
+        # an order-0 h carries no t term to check, but d(0) and h(0) still count
+        with pytest.raises(NotProper):
+            from_dh(u(0), u(0))
+        with pytest.raises(NotProper):
+            from_dh(u(1), u(1))
 
     def test_fractional_entries_rejected(self):
         with pytest.raises(NonIntegerCoefficient):
-            from_dh(1 / u(2, -1, order=3), u(0, 1, order=3), 3)
+            from_dh(1 / u(2, -1, order=3), u(0, 1, order=3))
 
 
 class TestFamilyClosedForms:
@@ -140,6 +144,13 @@ class TestFamilyClosedForms:
         assert family_triangle(2, 7).rows == tuple(
             tuple(row) for row in golden_rows("table3_11100.csv")
         )
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_row_zero_matches_the_table(self, j):
+        pattern = "1" * (j + 1) + "0" * j
+        lower, _ = triangles_from_table(avoider_table(pattern, 0))
+        assert family_triangle(j, 0) == lower
+        assert lower.rows == ((1,),)
 
 
 class TestTableSplit:
@@ -249,7 +260,7 @@ class TestVerifiers:
 
     def test_recurrence_rejects_foreign_triangle(self):
         geo = 1 / u(1, -1, order=5)
-        pascal = from_dh(geo, u(0, 1, order=5) * geo, 5)
+        pascal = from_dh(geo, u(0, 1, order=5) * geo)
         assert verify_recurrence(pascal, 1) != []
 
     def test_column_doubling(self):
@@ -257,7 +268,7 @@ class TestVerifiers:
         _, upper = triangles_from_table(avoider_table("11100", 7))
         assert verify_column_doubling(upper) is False
         geo = 1 / u(1, -1, order=5)
-        pascal = from_dh(geo, u(0, 1, order=5) * geo, 5)
+        pascal = from_dh(geo, u(0, 1, order=5) * geo)
         assert verify_column_doubling(pascal) is False
 
     def test_two_sided_verifier(self):
@@ -268,5 +279,5 @@ class TestVerifiers:
             bumped[n][k] += 1
             assert verify_a_matrix(RiordanTriangle(bumped), 2) is False
         geo = 1 / u(1, -1, order=9)
-        pascal = from_dh(geo, u(0, 1, order=9) * geo, 9)
+        pascal = from_dh(geo, u(0, 1, order=9) * geo)
         assert verify_a_matrix(pascal, 2) is False
