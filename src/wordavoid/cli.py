@@ -3,7 +3,8 @@
 Subcommands expose the avoider table, the two triangles, the family's
 series, rule censuses, the path construction, and the consistency battery.
 This module renders every output except a series' text form, which
-`USeries.text()` gives; the library returns checked integers.  It loads no
+`USeries.text()` gives: the library returns checked integers and tree
+nodes, and the csv and json forms of a node are defined here.  It loads no
 wordavoid module itself: each command imports the modules it runs, so
 `autocorr` never loads the construction or the battery.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
@@ -160,10 +161,21 @@ def cmd_rule(args) -> int:
     return 0
 
 
-def _node_csv(n: dict) -> str:
-    label = n["label"]
-    marks = ";".join(map(str, n["marks"]))
-    return f"{n['word']},{marks},{label['value']},{label['variant']},{label['marked']}"
+def _node_json(node) -> str:
+    """The stable json form of a tree node."""
+    label = node.label
+    return _json({
+        "word": node.path.steps,
+        "marks": list(node.path.marks),
+        "label": {"value": label.value, "variant": label.variant, "marked": label.marked},
+        "level": node.level,
+    })
+
+
+def _node_csv(node) -> str:
+    label = node.label
+    marks = ";".join(map(str, node.path.marks))
+    return f"{node.path.steps},{marks},{label.value},{label.variant},{label.marked}"
 
 
 def cmd_construct(args) -> int:
@@ -178,17 +190,17 @@ def cmd_construct(args) -> int:
             sys.stdout.write("".join(w + "\n" for w in words))
     elif args.what == "nodes":
         # one node at a time: the level's serialized form is never held whole
-        nodes = map(paths.node_json, paths.build_tree(args.j, args.level)[args.level])
+        nodes = paths.build_tree(args.j, args.level)[args.level]
         write = sys.stdout.write
         if fmt == "json":
             write("[")
-            for i, n in enumerate(nodes):
-                write("," + _json(n) if i else _json(n))
+            for i, node in enumerate(nodes):
+                write("," + _node_json(node) if i else _node_json(node))
             write("]\n")
         else:
-            line = _node_csv if fmt == "csv" else _json
-            for n in nodes:
-                write(line(n) + "\n")
+            line = _node_csv if fmt == "csv" else _node_json
+            for node in nodes:
+                write(line(node) + "\n")
     else:
         census = paths.signed_census(paths.build_tree(args.j, args.level))
         sys.stdout.write(render_matrix(census.matrix(), fmt))

@@ -14,6 +14,8 @@ blocks are indivisible occurrences of the forbidden factor '1' * (j+1) +
 '0' * j dropped in by the rule's jumping production; a node's sign is the
 parity of its marked blocks, and summing signs per word annihilates every
 word containing the factor while leaving each avoider exactly once.
+This module builds the nodes, both productions through one `produce`;
+`cli` prints them.
 
 What is validated where: each class has one checking constructor.
 `AnnotatedPath(j, steps, marks)` checks j, that `steps` is a string over
@@ -89,26 +91,8 @@ class AnnotatedPath:
         _set_marks(self, marks)
 
     @property
-    def span(self) -> int:
-        return 2 * self.j + 1
-
-    @property
-    def block(self) -> str:
-        return family_pattern(self.j)
-
-    @property
-    def rises(self) -> int:
-        return self.steps.count("1")
-
-    @property
     def endpoint(self) -> int:
         return 2 * self.steps.count("1") - len(self.steps)
-
-    def ordinates(self) -> list[int]:
-        out = [0]
-        for ch in self.steps:
-            out.append(out[-1] + (1 if ch == "1" else -1))
-        return out
 
 
 AnnotatedPath.__setattr__ = AnnotatedPath.__delattr__ = _refuse_mutation
@@ -285,9 +269,13 @@ def _child_labels(k: int, marked: bool) -> tuple[Label, ...]:
     )
 
 
-def _children(node: ConstructionNode, marked: bool) -> list[ConstructionNode]:
-    """The k+3 children of one production, the zero-sub-1 child first.  It
-    is rearranged from its hook: the path of the (1) child, which ends at
+def produce(node: ConstructionNode, marked: bool) -> list[ConstructionNode]:
+    """The k+3 children of one production, the zero-sub-1 child first.
+
+    The plain production goes one level down and appends a rise.  With
+    `marked`, it jumps j + 1 levels and appends the factor as one new marked
+    block.  A tail of falls follows either way.  The zero-sub-1 child is
+    rearranged from its hook: the path of the (1) child, which ends at
     ordinate 1 and comes two places after it."""
     k = node.label.value
     labels = _child_labels(k, node.label.marked != marked)
@@ -297,17 +285,6 @@ def _children(node: ConstructionNode, marked: bool) -> list[ConstructionNode]:
     kids = [ConstructionNode(zero1_forward(grown[1]), labels[0], level)]
     kids += map(ConstructionNode, grown, labels[1:], repeat(level))
     return kids
-
-
-def produce_plain(node: ConstructionNode) -> list[ConstructionNode]:
-    """The k+3 children one level down: a rise and a tail of falls, with
-    the axis-rise child routed through `zero1_forward`."""
-    return _children(node, False)
-
-
-def produce_marked(node: ConstructionNode) -> list[ConstructionNode]:
-    """The k+3 children j+1 levels down, each gaining one marked block."""
-    return _children(node, True)
 
 
 def build_tree(j: int, max_level: int) -> list[list[ConstructionNode]]:
@@ -326,11 +303,11 @@ def build_tree(j: int, max_level: int) -> list[list[ConstructionNode]]:
     # level m gets the marked children of level m - j - 1, then the plain
     # children of level m - 1
     for lv, nodes in enumerate(levels):
-        for jump, produce in ((1, produce_plain), (j + 1, produce_marked)):
+        for marked, jump in ((False, 1), (True, j + 1)):
             if lv + jump <= max_level:
                 extend = levels[lv + jump].extend
                 for node in nodes:
-                    extend(produce(node))
+                    extend(produce(node, marked))
     return levels
 
 
@@ -403,17 +380,3 @@ def occurrence_count(word: str, j: int) -> int:
     # 1^(j+1) 0^j has no proper border (its autocorrelation is 1, 0, ..., 0),
     # so two occurrences never overlap and the non-overlapping count is exact.
     return word.count(family_pattern(j))
-
-
-def node_json(node: ConstructionNode) -> dict:
-    """The stable serialized form of a node."""
-    return {
-        "word": node.path.steps,
-        "marks": list(node.path.marks),
-        "label": {
-            "value": node.label.value,
-            "variant": node.label.variant,
-            "marked": node.label.marked,
-        },
-        "level": node.level,
-    }

@@ -11,6 +11,8 @@ the triangle must satisfy.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .pattern import family_pattern
 from .series import BSeries, Rational, USeries, _frac, integer_row, solve_polynomial
 
@@ -83,9 +85,9 @@ def triangles_from_table(table: BSeries) -> tuple[RiordanTriangle, RiordanTriang
     half: entry (n, k) = table (n-k, n).  Both share column zero, the
     table's main diagonal.
     """
-    rows = range(table.order + 1)
-    lower = [[table.entry(n, n - k) for k in range(n + 1)] for n in rows]
-    upper = [[table.entry(n - k, n) for k in range(n + 1)] for n in rows]
+    grid = table.grid
+    lower = [grid[n][n::-1] for n in range(len(grid))]
+    upper = [[row[n] for row in grid[n::-1]] for n in range(len(grid))]
     return RiordanTriangle(lower), RiordanTriangle(upper)
 
 
@@ -227,10 +229,10 @@ def verify_a_sequence(r: RiordanTriangle, a: USeries) -> list[Violation]:
         raise ValueError("A-sequence order too small for this triangle")
     out = []
     for n in range(r.order):
+        row, below = r.rows[n], r.rows[n + 1]
         for k in range(n + 1):
-            terms = (a.coeff(i) * r.entry(n, k + i) for i in range(n - k + 1))
-            want = _frac(sum(terms))
-            got = r.entry(n + 1, k + 1)
+            want = _frac(sum(map(mul, a.coeffs, row[k:])))
+            got = below[k + 1]
             if got != want:
                 out.append((n + 1, k + 1, got, want))
     return out

@@ -28,13 +28,13 @@ from .riordan import (
     family_a,
     family_d,
     family_h,
-    family_triangle,
-    family_z,
+    from_dh,
     triangles_from_table,
     verify_a_matrix,
     verify_a_sequence,
     verify_column_doubling,
     verify_recurrence,
+    z_sequence,
 )
 from .rules import avoid_rule, expand
 
@@ -61,7 +61,9 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
         raise ValueError("need triangle_order >= levels and > j")
     out = []
 
-    triangle = family_triangle(j, triangle_order)
+    # the one (d, h) pair every series and triangle check below reads
+    d, h = family_d(j, triangle_order), family_h(j, triangle_order)
+    triangle = from_dh(d, h)
     bad = verify_recurrence(triangle, j)
     out.append(_result("row-recurrence", not bad, f"{len(bad)} violations"))
     out.append(_result("column-doubling", verify_column_doubling(triangle),
@@ -70,7 +72,7 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
                        "the A-matrix identity fails"))
 
     a_poly = family_a(j, triangle_order - 1)
-    a_h = a_sequence_from_h(family_h(j, triangle_order))
+    a_h = a_sequence_from_h(h)
     bad = verify_a_sequence(triangle, a_poly)
     out.append(
         _result(
@@ -80,9 +82,8 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
         )
     )
 
-    rebuilt = d_from_z(1, family_z(j, triangle_order - 1), family_h(j, triangle_order))
-    out.append(_result("z-sequence", rebuilt == family_d(j, triangle_order),
-                       "d rebuilt from Z differs from d"))
+    rebuilt = d_from_z(1, z_sequence(d, h), h)
+    out.append(_result("z-sequence", rebuilt == d, "d rebuilt from Z differs from d"))
 
     lower, _ = triangles_from_table(avoider_table(pattern, triangle_order))
     out.append(_result("table-agreement", lower == triangle,

@@ -110,7 +110,7 @@ class TestGoldenOutputs:
         assert first == second
 
 
-# level 2 of the j = 1 tree, one node_json line each, marked nodes first
+# level 2 of the j = 1 tree, one json line per node, marked nodes first
 NODES_J1_L2 = [
     '{"word":"0110","marks":[1],"label":{"value":0,"variant":"zero1","marked":true},"level":2}',
     '{"word":"1100","marks":[0],"label":{"value":0,"variant":"zero2","marked":true},"level":2}',
@@ -333,6 +333,22 @@ def test_deep_nodes_csv_pinned(capsys, j, level):
     assert any(line.split(",")[1].count(";") for line in out.splitlines())
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (out.count("\n"), digest) == NODES_CSV_SHA256[j, level]
+
+
+# (line count, sha256) of `construct nodes --j 3 --level 8` in the two
+# formats that print each node as json
+NODES_J3_L8_SHA256 = {
+    "json": (1, "fc3e248468d6e79d94d5f80ddfa7df2631c53bb767c5c06c71732ffe3db2b5b1"),
+    "text": (26630, "4dcea69fccca52cb14ab0848c81bd6719e7f5af1cedde9ae098ceed7101cec8e"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(NODES_J3_L8_SHA256))
+def test_deep_nodes_json_and_text_pinned(capsys, fmt):
+    rc, out, _ = run(capsys, "construct", "nodes", "--j", "3", "--level", "8", fmt)
+    assert rc == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (out.count("\n"), digest) == NODES_J3_L8_SHA256[fmt]
 
 
 class TestVerify:

@@ -23,10 +23,8 @@ from wordavoid.paths import (
     copies_census,
     hooks_of,
     net_survivors,
-    node_json,
     occurrence_count,
-    produce_marked,
-    produce_plain,
+    produce,
     signed_census,
     survivors,
     word_census,
@@ -115,11 +113,7 @@ class TestComplement:
 class TestAnnotatedPath:
     def test_geometry(self):
         p = path("1110011100", 5, j=2)
-        assert p.span == 5
-        assert p.block == "11100"
-        assert p.rises == 6
         assert p.endpoint == 2
-        assert p.ordinates() == [0, 1, 2, 3, 2, 1, 2, 3, 4, 3, 2]
 
     def test_marks_normalized_sorted(self):
         assert path("110110", 3, 0).marks == (0, 3)
@@ -178,7 +172,6 @@ class TestAnnotatedPath:
     def test_empty_path_allowed(self):
         p = path("")
         assert p.endpoint == 0
-        assert p.ordinates() == [0]
 
 
 class TestForwardMap:
@@ -346,10 +339,11 @@ class TestRoundTrip:
         # every marked path of up to 10 steps: the one-pass mask both maps
         # read cuts exactly the interior points, and a step lies in a block
         # exactly when a point at either end of it is cut
+        span = 2 * j + 1
         for n in range(11):
             for p in _all_marked_paths(j, n):
-                inside = {s + k for s in p.marks for k in range(1, p.span)}
-                covered = {s + k for s in p.marks for k in range(p.span)}
+                inside = {s + k for s in p.marks for k in range(1, span)}
+                covered = {s + k for s in p.marks for k in range(span)}
                 cut = paths._cut_points(p)
                 assert len(cut) == n + 1
                 assert {m for m in range(n + 1) if cut[m]} == inside
@@ -361,7 +355,7 @@ class TestConstructionNodes:
         return ConstructionNode(AnnotatedPath(j, ""), Label(0), 0)
 
     def test_axiom_children(self):
-        kids = produce_plain(self.axiom())
+        kids = produce(self.axiom(), False)
         assert [(n.path.steps, n.label) for n in kids] == [
             ("01", Label(0, variant="zero1")),
             ("10", Label(0, variant="zero2")),
@@ -370,7 +364,7 @@ class TestConstructionNodes:
         assert all(n.level == 1 and n.sign == 1 for n in kids)
 
     def test_axiom_marked_children(self):
-        kids = produce_marked(self.axiom())
+        kids = produce(self.axiom(), True)
         assert [(n.path.steps, n.path.marks, n.label) for n in kids] == [
             ("0110", (1,), Label(0, variant="zero1", marked=True)),
             ("1100", (0,), Label(0, variant="zero2", marked=True)),
@@ -381,7 +375,7 @@ class TestConstructionNodes:
     def test_child_count_follows_rule(self):
         tree = build_tree(2, 3)
         for node in tree[2]:
-            assert len(produce_plain(node)) == node.label.value + 3
+            assert len(produce(node, False)) == node.label.value + 3
 
     def test_node_validation(self):
         with pytest.raises(ValueError):
@@ -436,15 +430,6 @@ class TestConstructionNodes:
             assert not hasattr(obj, "__dict__")
         assert AnnotatedPath.__slots__ == ("j", "steps", "marks")
         assert ConstructionNode.__slots__ == ("path", "label", "level")
-
-    def test_node_json(self):
-        node = ConstructionNode(path("110", 0), Label(1, marked=True), 2)
-        assert node_json(node) == {
-            "word": "110",
-            "marks": [0],
-            "label": {"value": 1, "variant": "plain", "marked": True},
-            "level": 2,
-        }
 
 
 class TestDataclassBehaviour:

@@ -39,6 +39,22 @@ class TestRunChecks:
         with pytest.raises(ValueError):
             run_checks(1, 5, triangle_order=4)
 
+    def test_d_and_h_built_once(self, monkeypatch):
+        # a sqrt each for d and h; a revert and a compose for the Z-sequence,
+        # a revert for the A-sequence and a compose for d rebuilt from Z
+        calls = dict.fromkeys(("sqrt", "revert", "compose"), 0)
+
+        def counted(name, real):
+            def method(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+            return method
+
+        for name in calls:
+            monkeypatch.setattr(USeries, name, counted(name, getattr(USeries, name)))
+        run_checks(2, 5, 12)
+        assert calls == {"sqrt": 2, "revert": 2, "compose": 2}
+
     def test_result_type_is_frozen(self):
         r = CheckResult("x", True)
         with pytest.raises(AttributeError):
