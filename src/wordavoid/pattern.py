@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 
 from .series import BSeries
@@ -56,8 +57,12 @@ def as_pattern(p: "Pattern | str") -> Pattern:
     return p if isinstance(p, Pattern) else Pattern(p)
 
 
+@lru_cache(maxsize=64, typed=True)
 def family_pattern(j: int) -> str:
-    """The family's forbidden factor 1^(j+1) 0^j; j must be at least 1."""
+    """The family's forbidden factor 1^(j+1) 0^j; j must be at least 1.
+
+    Cached, since the construction asks for it on every checked path.  The
+    cache is bounded, and typed so that a j such as 1.0 still fails."""
     if j < 1:
         raise ValueError("the family parameter j must be >= 1")
     return "1" * (j + 1) + "0" * j

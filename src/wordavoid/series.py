@@ -47,7 +47,10 @@ def _frac(value: Rational) -> Rational:
     """The canonical form of an exact rational: an int when it is integral,
     otherwise a Fraction."""
     # bool is an int subclass and floats are rejected outright: exactness is
-    # a module invariant, not a best effort.
+    # a module invariant, not a best effort.  Exact ints go first: Fraction
+    # is an ABC, so isinstance against it runs a Python-level check.
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):

@@ -82,8 +82,12 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
         )
     )
 
-    rebuilt = d_from_z(1, z_sequence(d, h), h)
-    out.append(_result("z-sequence", rebuilt == d, "d rebuilt from Z differs from d"))
+    # for this family Z = 2A: d = 1/sqrt(1 - 4t + 4t^(j+1)) = 1/(1 - 2h),
+    # so d = 1/(1 - t Z(h)) gives Z(h) = 2h/t = 2A(h)
+    z = z_sequence(d, h)
+    rebuilt, twice_a = d_from_z(1, z, h) == d, z == 2 * a_poly
+    out.append(_result("z-sequence", rebuilt and twice_a,
+                       f"d rebuilt from Z agrees: {rebuilt}; Z = 2A: {twice_a}"))
 
     lower, _ = triangles_from_table(avoider_table(pattern, triangle_order))
     out.append(_result("table-agreement", lower == triangle,

@@ -118,6 +118,18 @@ class TestAnnotatedPath:
     def test_marks_normalized_sorted(self):
         assert path("110110", 3, 0).marks == (0, 3)
 
+    def test_sorted_marks_tuple_kept(self):
+        marks = (0, 3)
+        assert AnnotatedPath(1, "110110", marks).marks is marks
+        # a list or an unsorted tuple is still sorted into a new tuple, and
+        # its blocks checked either way
+        assert AnnotatedPath(1, "110110", [3, 0]).marks == (0, 3)
+        assert AnnotatedPath(1, "110110", (3, 0)).marks == (0, 3)
+        with pytest.raises(ValueError, match="do not spell the factor"):
+            AnnotatedPath(1, "110110", (0, 2))
+        with pytest.raises(ValueError, match="do not spell the factor"):
+            AnnotatedPath(1, "110110", [2, 0])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AnnotatedPath(0, "10")
@@ -514,6 +526,28 @@ class TestTree:
         counts = word_census(build_tree(1, 4)[4])
         assert counts["110110"] == (2, 2)
         assert counts["1111"] == (1, 0)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_walk_shares_each_word_and_mark_set(self, j):
+        built = [n.path for nodes in build_tree(j, 7) for n in nodes]
+        assert len({id(p.steps) for p in built}) == len({p.steps for p in built})
+        assert len({id(p.marks) for p in built}) == len({p.marks for p in built})
+        assert len(built) > len({p.steps for p in built})
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_produce_alone_equals_the_tree(self, j):
+        # a production run on its own, with its own table, gives the same
+        # children the walk put in the tree, in the same order
+        tree = build_tree(j, 6)
+        for lv, nodes in enumerate(tree):
+            for marked, jump in ((False, 1), (True, j + 1)):
+                if lv + jump < len(tree):
+                    alone = [kid for node in nodes for kid in produce(node, marked)]
+                    walked = tree[lv + jump]
+                    if marked:
+                        assert walked[: len(alone)] == alone
+                    else:
+                        assert walked[len(walked) - len(alone):] == alone
 
 
 class TestSurvivors:

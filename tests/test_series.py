@@ -210,6 +210,28 @@ class TestStructure:
         assert u(1, 0, -2).text() == "1 + 0*t + -2*t^2"
 
 
+class TestCanonicalForm:
+    def test_plain_int_is_returned_itself(self):
+        big = 10**40
+        assert series._frac(big) is big
+
+    def test_whole_fraction_becomes_int(self):
+        value = series._frac(Fraction(6, 3))
+        assert type(value) is int and value == 2
+        assert series._frac(Fraction(1, 2)) == Fraction(1, 2)
+
+    def test_int_subclass_accepted(self):
+        class Count(int):
+            pass
+
+        assert series._frac(Count(3)) == 3
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.5, "1"])
+    def test_inexact_values_refused(self, value):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            series._frac(value)
+
+
 small_coeffs = st.integers(min_value=-3, max_value=3)
 
 

@@ -103,3 +103,17 @@ class TestEveryCheckCanFail:
         result = {r.name: r for r in run_checks(2, 4)}[check]
         assert not result.passed
         assert result.detail
+
+    def test_z_not_twice_a_caught(self, monkeypatch):
+        # a wrong Z from which d still rebuilds: only Z = 2A can see it
+        real, seen = verify.z_sequence, {}
+
+        def bumped(d, h):
+            seen["d"] = d
+            return _bump_series(real(d, h))
+
+        monkeypatch.setattr(verify, "z_sequence", bumped)
+        monkeypatch.setattr(verify, "d_from_z", lambda d0, z, h: seen["d"])
+        result = {r.name: r for r in run_checks(2, 4)}["z-sequence"]
+        assert not result.passed
+        assert result.detail == "d rebuilt from Z agrees: True; Z = 2A: False"
