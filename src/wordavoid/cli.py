@@ -7,6 +7,8 @@ This module renders every output except a series' text form, which
 nodes, and the csv and json forms of a node are defined here.  It loads no
 wordavoid module itself: each command imports the modules it runs, so
 `autocorr` never loads the construction or the battery.
+Each subcommand declares its size caps where the parser declares it, and
+`main` checks them all before the command loads a module.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors (including sizes beyond the built-in guards).
 """
@@ -19,7 +21,9 @@ import sys
 
 FORMATS = ("csv", "json", "text")
 
-# Caps on user-sized inputs.  The slowest call at each cap, min of 3 in
+# Caps on user-sized inputs, each declared with its subcommand in
+# `_build_parser` and checked in `main` before the command loads a module, so
+# an over-cap command does no work.  The slowest call at each cap, min of 3 in
 # process (Python 3.11, 2-CPU Linux VM): avoider_table at order 40 about
 # 0.017 s for a long self-overlapping pattern such as (10)^20, whose divisor
 # has the most terms, and 0.006 s for a 7-letter one; family_z at series
@@ -96,15 +100,9 @@ def cmd_autocorr(args) -> int:
     return 0
 
 
-def _check_table_order(order: int) -> None:
-    if not 0 <= order <= TABLE_ORDER_CAP:
-        raise ValueError(f"order must be between 0 and {TABLE_ORDER_CAP}")
-
-
 def cmd_table(args) -> int:
     from . import pattern
 
-    _check_table_order(args.order)
     table = pattern.avoider_table(args.pattern, args.order)
     sys.stdout.write(render_matrix(table.integer_rows(), args.format))
     return 0
@@ -115,7 +113,6 @@ def cmd_triangle(args) -> int:
 
     if (args.pattern is None) == (args.j is None):
         raise ValueError("give exactly one of PATTERN and --j")
-    _check_table_order(args.order)
     bits = args.pattern or pattern.family_pattern(args.j)
     lower, upper = riordan.triangles_from_table(pattern.avoider_table(bits, args.order))
     triangle = upper if args.bar else lower
@@ -126,8 +123,6 @@ def cmd_triangle(args) -> int:
 def cmd_series(args) -> int:
     from . import riordan
 
-    if args.order > SERIES_ORDER_CAP:
-        raise ValueError(f"order must be at most {SERIES_ORDER_CAP}")
     maker = getattr(riordan, f"family_{args.kind}")
     _emit_series(maker(args.j, args.order), args.format)
     return 0
@@ -146,16 +141,9 @@ def cmd_rule(args) -> int:
     from . import rules
 
     make = getattr(rules, _RULES[args.name])
-    if args.levels > RULE_LEVELS_CAP:
-        raise ValueError(f"levels must be at most {RULE_LEVELS_CAP}")
-    if args.name == "avoid":
-        if args.j is None:
-            raise ValueError("the avoid rule needs --j")
-        spec = make(args.j)
-    elif args.j is not None:
-        raise ValueError("--j applies only to the avoid rule")
-    else:
-        spec = make()
+    if (args.j is None) == (args.name == "avoid"):
+        raise ValueError("--j is required by the avoid rule and taken by no other")
+    spec = make() if args.j is None else make(args.j)
     census = rules.expand(spec, args.levels)
     sys.stdout.write(render_matrix(census.matrix(), args.format))
     return 0
@@ -210,8 +198,6 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    if args.order > VERIFY_ORDER_CAP:
-        raise ValueError(f"order must be at most {VERIFY_ORDER_CAP}")
     results = verify.run_checks(args.j, args.levels, args.order)
     if args.format == "json":
         print(_json([{"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -247,31 +233,32 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default="text",
                         help="output format; a bare csv, json or text word means the same")
 
-    def add(name: str, func, summary: str) -> argparse.ArgumentParser:
+    def add(name: str, func, summary: str, **caps: int) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, parents=[common], help=summary)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=func, caps={"j": J_CAP, **caps})
         return sub
 
     sub = add("autocorr", cmd_autocorr, "autocorrelation vector and polynomial")
     sub.add_argument("pattern", type=_pattern_arg)
 
-    sub = add("table", cmd_table, "avoider counts by (ones, zeros)")
+    sub = add("table", cmd_table, "avoider counts by (ones, zeros)", order=TABLE_ORDER_CAP)
     sub.add_argument("pattern", type=_pattern_arg)
     sub.add_argument("order", type=int)
 
-    sub = add("triangle", cmd_triangle, "avoider triangles")
+    sub = add("triangle", cmd_triangle, "avoider triangles", order=TABLE_ORDER_CAP)
     sub.add_argument("pattern", nargs="?", type=_pattern_arg,
                      help="the forbidden factor; omit it when giving --j")
     sub.add_argument("order", type=int)
     sub.add_argument("--j", type=int, default=None)
     sub.add_argument("--bar", action="store_true", help="emit the upper triangle")
 
-    sub = add("series", cmd_series, "family series")
+    sub = add("series", cmd_series, "family series", order=SERIES_ORDER_CAP)
     sub.add_argument("kind", choices=("d", "h", "a", "z"))
     sub.add_argument("--j", type=int, required=True)
     sub.add_argument("--order", type=int, default=9)
 
-    sub = add("rule", cmd_rule, "signed census of a built-in rule")
+    sub = add("rule", cmd_rule, "signed census of a built-in rule",
+              levels=RULE_LEVELS_CAP)
     sub.add_argument("name", choices=sorted(_RULES))
     sub.add_argument("levels", type=int)
     sub.add_argument("--j", type=int, default=None)
@@ -282,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--j", type=int, required=True)
     sub.add_argument("--level", type=int, required=True)
 
-    sub = add("verify", cmd_verify, "run the consistency battery")
+    sub = add("verify", cmd_verify, "run the consistency battery", order=VERIFY_ORDER_CAP)
     sub.add_argument("--j", type=int, required=True)
     sub.add_argument("--levels", type=int, required=True)
     sub.add_argument("--order", type=int, default=12)
@@ -294,8 +281,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_format_options(argv))
     try:
-        if (getattr(args, "j", None) or 0) > J_CAP:
-            raise ValueError(f"j must be at most {J_CAP}")
+        for name, cap in args.caps.items():
+            if (getattr(args, name, None) or 0) > cap:
+                raise ValueError(f"{name} must be at most {cap}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -494,6 +494,30 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"error: j must be at most {J_CAP}\n"
 
+    @pytest.mark.parametrize("argv, name, cap", [
+        (["table", "11100", str(TABLE_ORDER_CAP + 1)], "order", TABLE_ORDER_CAP),
+        (["triangle", "--j", "2", str(TABLE_ORDER_CAP + 1)], "order", TABLE_ORDER_CAP),
+        (["series", "z", "--j", "2", "--order", str(SERIES_ORDER_CAP + 1)],
+         "order", SERIES_ORDER_CAP),
+        (["verify", "--j", "1", "--levels", "2", "--order", str(VERIFY_ORDER_CAP + 1)],
+         "order", VERIFY_ORDER_CAP),
+        (["rule", "avoid", str(RULE_LEVELS_CAP + 1), "--j", "1"], "levels", RULE_LEVELS_CAP),
+        (["rule", "catalan-plain", str(RULE_LEVELS_CAP + 1)], "levels", RULE_LEVELS_CAP),
+    ])
+    def test_cap_message(self, capsys, argv, name, cap):
+        assert run(capsys, *argv) == (2, "", f"error: {name} must be at most {cap}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "11100", "-1"],
+        ["triangle", "--j", "2", "-1"],
+    ])
+    def test_negative_table_order(self, capsys, argv):
+        # no cap applies below zero: the library refuses it
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_j_cap_is_allowed(self, capsys):
         # over 3 levels no marked jump fires for j >= 3
         rc, out, _ = run(capsys, "rule", "avoid", "3", "--j", str(J_CAP), "csv")

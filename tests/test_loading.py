@@ -73,8 +73,17 @@ class TestLoading:
     def test_command_loads_what_it_runs(self, argv, modules):
         assert command_loads(*argv) == modules
 
-    def test_j_cap_refused_before_any_command_module(self):
-        assert command_loads("series", "a", "--j", "301") == {"cli"}
+    @pytest.mark.parametrize("argv", [
+        ["series", "a", "--j", "301"],
+        ["table", "11100", "41"],
+        ["triangle", "--j", "2", "41"],
+        ["series", "z", "--j", "2", "--order", "101"],
+        ["rule", "avoid", "301", "--j", "1"],
+        ["verify", "--j", "1", "--levels", "2", "--order", "81"],
+    ])
+    def test_cap_refused_before_any_command_module(self, argv):
+        # one over-cap command per cap
+        assert command_loads(*argv) == {"cli"}
 
 
 class TestExports:
