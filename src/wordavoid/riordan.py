@@ -11,6 +11,7 @@ the triangle must satisfy.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import mul
 
 from .pattern import family_pattern
@@ -21,12 +22,13 @@ class NotProper(ValueError):
     """The series pair does not define a proper Riordan triangle."""
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class RiordanTriangle:
     """A lower-triangular integer matrix; row n holds entries k = 0..n.
     Entries must be exact integers: a fractional one raises
     `NonIntegerCoefficient`, anything else not exact raises `TypeError`."""
 
-    __slots__ = ("rows",)
+    rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows):
         norm = []
@@ -37,7 +39,7 @@ class RiordanTriangle:
             norm.append(tuple(entries))
         if not norm:
             raise ValueError("a triangle needs at least one row")
-        self.rows: tuple[tuple[int, ...], ...] = tuple(norm)
+        object.__setattr__(self, "rows", tuple(norm))
 
     @property
     def order(self) -> int:
@@ -48,14 +50,6 @@ class RiordanTriangle:
         if 0 <= k <= n <= self.order:
             return self.rows[n][k]
         return 0
-
-    def __eq__(self, other):
-        if not isinstance(other, RiordanTriangle):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"RiordanTriangle(order={self.order})"

@@ -77,16 +77,20 @@ class RuleSpec:
     produce: Callable[[int], tuple[Production, ...]]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class LevelCensus:
     """Signed label counts per level: unmarked minus marked occurrences."""
 
-    __slots__ = ("max_level", "counts")
+    max_level: int
+    counts: dict[tuple[int, int], int]
+
+    __hash__ = None  # counts is a dict
 
     def __init__(self, max_level: int, counts: dict[tuple[int, int], int]):
         if any(not 0 <= lv <= max_level for lv, _ in counts):
             raise ValueError(f"census levels must lie in 0..{max_level}")
-        self.max_level = max_level
-        self.counts = {key: c for key, c in counts.items() if c != 0}
+        object.__setattr__(self, "max_level", max_level)
+        object.__setattr__(self, "counts", {key: c for key, c in counts.items() if c != 0})
 
     def count(self, level: int, value: int) -> int:
         return self.counts.get((level, value), 0)
@@ -113,11 +117,6 @@ class LevelCensus:
             [self.count(lv, v) for v in range(lv + 1)]
             for lv in range(self.max_level + 1)
         ]
-
-    def __eq__(self, other):
-        if not isinstance(other, LevelCensus):
-            return NotImplemented
-        return self.max_level == other.max_level and self.counts == other.counts
 
     def __repr__(self):
         return f"LevelCensus(max_level={self.max_level})"

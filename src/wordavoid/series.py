@@ -12,6 +12,7 @@ recomputing at a higher order never changes the low-order coefficients.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
@@ -78,6 +79,7 @@ def _div(a: Rational, b: Rational) -> Rational:
     return _frac(Fraction(a) / b)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class USeries:
     """A univariate power series truncated at t^order.
 
@@ -86,7 +88,7 @@ class USeries:
     construction.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Rational, ...]
 
     def __init__(self, coeffs: Iterable[Rational] = (), order: int | None = None):
         cs = [_frac(c) for c in coeffs]
@@ -98,7 +100,7 @@ class USeries:
             raise ValueError("order must be non-negative")
         del cs[order + 1 :]
         cs.extend([0] * (order + 1 - len(cs)))
-        self.coeffs: tuple[Rational, ...] = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @property
     def order(self) -> int:
@@ -266,14 +268,6 @@ class USeries:
                 parts.append(f"{c}*t^{n}")
         return " + ".join(parts)
 
-    def __eq__(self, other):
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 7 else ""
@@ -324,6 +318,7 @@ def solve_polynomial(
     return a
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class BSeries:
     """A bivariate power series truncated to the square grid 0..order.
 
@@ -332,7 +327,7 @@ class BSeries:
     dropping out-of-grid terms never corrupts the retained ones.
     """
 
-    __slots__ = ("grid",)
+    grid: tuple[tuple[Rational, ...], ...]
 
     def __init__(self, grid: Sequence[Sequence[Rational]], order: int | None = None):
         rows = [[_frac(c) for c in row] for row in grid]
@@ -350,7 +345,7 @@ class BSeries:
             norm.append(tuple(row))
         while len(norm) < order + 1:
             norm.append((0,) * (order + 1))
-        self.grid: tuple[tuple[Rational, ...], ...] = tuple(norm)
+        object.__setattr__(self, "grid", tuple(norm))
 
     @classmethod
     def from_terms(
@@ -449,14 +444,6 @@ class BSeries:
         """The grid as plain ints; a fractional entry is a hard error."""
         return [integer_row(row, lambda k: f"entry ({n}, {k})")
                 for n, row in enumerate(self.grid)]
-
-    def __eq__(self, other):
-        if not isinstance(other, BSeries):
-            return NotImplemented
-        return self.grid == other.grid
-
-    def __hash__(self):
-        return hash(self.grid)
 
     def __repr__(self):
         return f"BSeries(order={self.order})"

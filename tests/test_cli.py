@@ -462,10 +462,11 @@ class TestUsageErrors:
         assert err.startswith("error:")
 
     def test_negative_series_order(self, capsys):
-        rc, out, err = run(capsys, "series", "z", "--j", "2", "--order", "-1")
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error:")
+        for kind in ("z", "d", "h", "a"):
+            rc, out, err = run(capsys, "series", kind, "--j", "2", "--order", "-1")
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_verify_order_cap(self, capsys):
         rc, _, err = run(capsys, "verify", "--j", "1", "--levels", "2",

@@ -31,7 +31,9 @@ from wordavoid.paths import (
     zero1_forward,
     zero1_inverse,
 )
+from wordavoid.riordan import RiordanTriangle
 from wordavoid.rules import ZERO1, Label, avoid_rule, expand
+from wordavoid.series import BSeries, USeries
 
 
 def path(steps, *marks, j=1):
@@ -490,13 +492,16 @@ class TestDataclassBehaviour:
 
 @pytest.mark.parametrize("obj", [
     TestDataclassBehaviour.PATH, TestDataclassBehaviour.NODE, Label(0, ZERO1, marked=True),
-], ids=["path", "node", "label"])
+    USeries([1, 2, 3]), BSeries([[1, 2], [3]]), RiordanTriangle([[1], [2, 1]]),
+], ids=["path", "node", "label", "useries", "bseries", "triangle"])
 def test_frozen_refuses_attributes_that_are_not_fields(obj):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, "other", 0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         delattr(obj, "other")
     for field in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field.name, getattr(obj, field.name))
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(obj, field.name)
     assert copy.deepcopy(obj) == obj and hash(copy.deepcopy(obj)) == hash(obj)

@@ -270,6 +270,8 @@ class TestVerifiers:
         geo = 1 / u(1, -1, order=5)
         pascal = from_dh(geo, u(0, 1, order=5) * geo)
         assert verify_column_doubling(pascal) is False
+        with pytest.raises(ValueError, match="two rows"):
+            verify_column_doubling(RiordanTriangle([[1]]))
 
     def test_two_sided_verifier(self):
         assert verify_a_matrix(family_triangle(2, 9), 2) is True

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -279,6 +282,8 @@ class TestExhaustiveAgreement:
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
             expand(avoid_rule(1), -1)
+        with pytest.raises(ValueError):
+            expand_exhaustive(avoid_rule(1), -1)
 
 
 class TestLevelCensus:
@@ -310,3 +315,14 @@ class TestLevelCensus:
         assert census.totals()[3] == 8 + 4 + 2 + 1
         signed = LevelCensus(2, {(0, 0): 1, (2, 0): 3, (2, 1): -5})
         assert signed.totals() == [1, 0, -2]
+
+    def test_frozen_and_unhashable(self):
+        census = expand(avoid_rule(1), 3)
+        for name in ("max_level", "counts", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(census, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(census, name)
+        assert copy.deepcopy(census) == census
+        with pytest.raises(TypeError):
+            hash(census)

@@ -38,6 +38,10 @@ class TestConstruction:
             USeries([])
         assert USeries([], order=2).coeffs == (0, 0, 0)
 
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            USeries([1], order=-1)
+
     def test_rejects_floats_and_bools(self):
         with pytest.raises(TypeError):
             USeries([1.5])
@@ -68,7 +72,13 @@ class TestRingOps:
         assert 2 * s == u(2, 4, order=2)
         assert s + 1 == u(2, 2, order=2)
         assert 1 - s == u(0, -2, order=2)
+        assert s - 1 == u(0, 2, order=2)
+        assert s - Fraction(1, 2) == USeries([Fraction(1, 2), 2], order=2)
         assert s / 2 == USeries([Fraction(1, 2), 1], order=2)
+
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError, match="non-negative integer powers"):
+            u(1, 1) ** -1
 
     def test_mixed_orders_truncate(self):
         assert (u(1, 1, order=5) * u(1, order=2)).order == 2
@@ -134,6 +144,10 @@ class TestSolvePolynomial:
     def test_constant_equation(self):
         assert solve_polynomial([[-1], [1]], 1, 5) == u(1, order=5)
 
+    def test_empty_polynomial_refused(self):
+        with pytest.raises(ValueError, match="empty polynomial"):
+            solve_polynomial([], 0, 3)
+
     def test_double_root_rejected(self):
         with pytest.raises(SingularRoot):
             solve_polynomial([[1], [-2], [1]], 1, 5)
@@ -192,6 +206,10 @@ class TestStructure:
     def test_shift_down_needs_zero_head(self):
         with pytest.raises(ValueError):
             u(1, 2).shift_down()
+
+    def test_shift_down_needs_a_t_term(self):
+        with pytest.raises(ValueError, match="order too small"):
+            USeries([0]).shift_down()
 
     def test_truncate_only_shrinks(self):
         with pytest.raises(ValueError):
@@ -336,6 +354,11 @@ class TestBSeries:
     def test_div_needs_unit_constant(self):
         with pytest.raises(ZeroConstantTerm):
             BSeries([[1]]) / BSeries.from_terms({(1, 0): 1}, 1)
+
+    def test_empty_needs_order_and_short_grids_pad(self):
+        with pytest.raises(ValueError, match="explicit order"):
+            BSeries([])
+        assert BSeries([[1]], order=2).grid == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
 
     def test_entry_off_grid_is_zero(self):
         assert BSeries([[1]]).entry(5, 5) == 0
