@@ -29,11 +29,11 @@ FORMATS = ("csv", "json", "text")
 # has the most terms, and 0.006 s for a 7-letter one; family_z at series
 # order 100 about 0.2 s, family_a at most 0.07 s for j up to 99; run_checks
 # at verify order 80 with two levels about 0.37 s for any j; expand of the
-# avoid rule at 300 levels about 0.09 s.  A rule census prints (L+1)^2 big
+# avoid rule at 300 levels about 0.07 s.  A rule census prints (L+1)^2 big
 # integers, which also bounds its cap.  The family's j goes no higher than
 # the rule cap: a marked jump of j + 1 levels beyond the last one never
 # fires.  At j = 300, family_a at order 100 takes about 0.11 s, expand of
-# the avoid rule at 300 levels (j = 299) 0.13 s and build_tree to level 8
+# the avoid rule at 300 levels (j = 299) 0.06 s and build_tree to level 8
 # 0.15 s.
 TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100

@@ -122,27 +122,31 @@ class LevelCensus:
         return f"LevelCensus(max_level={self.max_level})"
 
 
-def _row(productions: tuple[Production, ...]) -> dict[int, dict[int, int]]:
-    """Signed child multiplicities per jump and label value: a marked label
-    counts -1, so a label and its flipped twin in one jump cancel."""
-    row: dict[int, dict[int, int]] = {}
+def _arms(productions: tuple[Production, ...]) -> dict[int, tuple[tuple[Label, ...], ...]]:
+    """The productions' own label tuples grouped by jump, in rule order."""
+    arms: dict[int, tuple[tuple[Label, ...], ...]] = {}
     for prod in productions:
-        arm = row.setdefault(prod.jump, {})
-        for lab in prod.labels:
-            arm[lab.value] = arm.get(lab.value, 0) + (-1 if lab.marked else 1)
-    return row
+        arms[prod.jump] = arms.get(prod.jump, ()) + (prod.labels,)
+    return arms
 
 
-def _difference(low: dict[int, dict[int, int]], high: dict[int, dict[int, int]]):
-    """The nonzero entries of row `high` minus row `low`, grouped by jump."""
+def _difference(low: dict[int, tuple], high: dict[int, tuple]):
+    """The nonzero entries of value `high`'s signed child multiplicities
+    minus value `low`'s, grouped by jump, read from their label tuples."""
     out = []
     for jump in sorted(low.keys() | high.keys()):
-        a, b = low.get(jump, {}), high.get(jump, {})
-        entries = tuple(
-            (value, b.get(value, 0) - a.get(value, 0))
-            for value in sorted(a.keys() | b.keys())
-            if b.get(value, 0) != a.get(value, 0)
-        )
+        a, b = low.get(jump, ()), high.get(jump, ())
+        if len(a) == len(b) and all(y[: len(x)] == x for x, y in zip(a, b)):
+            # each of low's tuples is a prefix of high's: only the appended
+            # labels differ
+            terms = [(lab, 1) for x, y in zip(a, b) for lab in y[len(x) :]]
+        else:
+            terms = [(lab, 1) for y in b for lab in y]
+            terms += [(lab, -1) for x in a for lab in x]
+        signed: dict[int, int] = {}
+        for lab, sign in terms:
+            signed[lab.value] = signed.get(lab.value, 0) + (-sign if lab.marked else sign)
+        entries = tuple((value, d) for value, d in sorted(signed.items()) if d)
         if entries:
             out.append((jump, entries))
     return tuple(out)
@@ -161,43 +165,47 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
     once per pair of consecutive values and kept as its nonzero entries.
     For a rule whose consecutive rows differ in O(1) entries, as every
     built-in rule's do, a level then costs O(values) updates and the whole
-    census O(levels^2), not O(levels^3).  `produce` is called once for each
-    value reached with a nonzero net count, and for no other value; the
-    avoid rule's rows come from O(levels) labels in all, since its `produce`
-    grows each value's labels from the previous value's.
+    census O(levels^2), not O(levels^3).
+
+    Rows are never stored: each reached value keeps only the rule's own
+    label tuples, grouped by jump, and a difference is read from them.
+    Where the lower value's tuples are prefixes of the higher value's, as
+    the avoid rule's and the plain Catalan rule's are, only the labels the
+    higher value appends are read; otherwise both values' labels are
+    counted in full.  `produce` is called once for each value reached with
+    a nonzero net count, and for no other value.  Every contribution to a
+    level comes from lower levels, so a level is final when the sweep
+    reaches it: its nonzero counts then move into the census and its
+    bucket is dropped.
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    per_level: list[dict[int, int]] = [{} for _ in range(levels + 1)]
-    per_level[0][rule.axiom.value] = -1 if rule.axiom.marked else 1
-    rows: dict[int | None, dict[int, dict[int, int]]] = {None: {}}
+    # the counts of levels the sweep has not reached, by level
+    pending = {0: {rule.axiom.value: -1 if rule.axiom.marked else 1}}
+    arms: dict[int | None, dict[int, tuple]] = {None: {}}
     differences: dict[tuple[int | None, int], tuple] = {}
+    census: dict[tuple[int, int], int] = {}
     for lv in range(levels + 1):
-        counts = per_level[lv]
-        values = sorted(v for v, c in counts.items() if c)
+        counts = pending.pop(lv, {})
         suffix = sum(counts.values())
         prev = None
-        for value in values:
+        for value in sorted(v for v, c in counts.items() if c):
             diff = differences.get((prev, value))
             if diff is None:
-                if value not in rows:
-                    rows[value] = _row(rule.produce(value))
-                diff = differences[prev, value] = _difference(rows[prev], rows[value])
+                if value not in arms:
+                    arms[value] = _arms(rule.produce(value))
+                diff = differences[prev, value] = _difference(arms[prev], arms[value])
             for jump, entries in diff:
                 target = lv + jump
                 if target > levels:
                     continue
-                bucket = per_level[target]
+                bucket = pending.setdefault(target, {})
                 for w, d in entries:
                     bucket[w] = bucket.get(w, 0) + suffix * d
+            census[lv, value] = counts[value]
             suffix -= counts[value]
             prev = value
-    counts = {
-        (lv, value): c
-        for lv, bucket in enumerate(per_level)
-        for value, c in bucket.items()
-    }
-    return LevelCensus(levels, counts)
+    return LevelCensus(levels, census)
 
 
 def expand_exhaustive(

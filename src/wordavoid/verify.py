@@ -59,6 +59,9 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
     pattern = family_pattern(j)
     if levels < 0 or triangle_order < max(levels, j + 1):
         raise ValueError("need triangle_order >= levels and > j")
+    # built first so that its level guard refuses an oversized tree before
+    # any check does work
+    tree = build_tree(j, levels)
     out = []
 
     # the one (d, h) pair every series and triangle check below reads
@@ -98,7 +101,6 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
     got = [tuple(r) for r in census.triangle_rows()]
     out.append(_result("rule-census", got == rows, "census differs from triangle"))
 
-    tree = build_tree(j, levels)
     out.append(
         _result("construction-census", signed_census(tree) == census,
                 "tree census differs from rule census")

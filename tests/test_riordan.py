@@ -76,6 +76,9 @@ class TestTriangleType:
         assert RiordanTriangle([[1]]) == RiordanTriangle([[1]])
         assert RiordanTriangle([[1]]) != RiordanTriangle([[2]])
 
+    def test_repr(self):
+        assert repr(RiordanTriangle([[1], [2, 1]])) == "RiordanTriangle(order=1)"
+
 
 class TestFromDH:
     def test_all_ones(self):

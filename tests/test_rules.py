@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,20 @@ class TestAvoidRule:
         census = expand(avoid_rule(2), levels)
         assert census.max_value() == levels
         assert built <= 4 * (levels + 3)
+
+    def test_expand_working_memory_stays_near_its_result(self):
+        # a level moves into the census once final, and no value's signed
+        # counts are stored, so the sweep's peak stays near what it keeps:
+        # the census and the rule's label tuples
+        rule = avoid_rule(2)
+        tracemalloc.start()
+        try:
+            census = expand(rule, 120)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert census.max_level == 120
+        assert peak < 1.75 * retained
 
     def test_j_validated(self):
         with pytest.raises(ValueError):
@@ -326,3 +341,6 @@ class TestLevelCensus:
         assert copy.deepcopy(census) == census
         with pytest.raises(TypeError):
             hash(census)
+
+    def test_repr(self):
+        assert repr(expand(avoid_rule(1), 3)) == "LevelCensus(max_level=3)"

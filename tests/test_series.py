@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from wordavoid import series
 from wordavoid.pattern import avoider_table
-from wordavoid.riordan import family_a
+from wordavoid.riordan import family_a, family_a_polynomial
 from wordavoid.series import (
     BadConstantTerm,
     BSeries,
@@ -75,6 +76,16 @@ class TestRingOps:
         assert s - 1 == u(0, 2, order=2)
         assert s - Fraction(1, 2) == USeries([Fraction(1, 2), 2], order=2)
         assert s / 2 == USeries([Fraction(1, 2), 1], order=2)
+
+    @pytest.mark.parametrize("other", [1.5, "t", BSeries([[1]])],
+                             ids=["float", "str", "bseries"])
+    def test_foreign_operands_refused(self, other):
+        s = u(1, 2)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(s, other)
+        with pytest.raises(TypeError):
+            other / s
 
     def test_negative_power_refused(self):
         with pytest.raises(ValueError, match="non-negative integer powers"):
@@ -156,6 +167,13 @@ class TestSolvePolynomial:
         with pytest.raises(SingularRoot):
             solve_polynomial([[-1], [1]], 2, 5)
 
+    def test_a_wrong_newton_step_is_caught(self, monkeypatch):
+        # the final residual check is the guard behind every Newton step
+        divide = USeries.__truediv__
+        monkeypatch.setattr(USeries, "__truediv__", lambda a, b: 2 * divide(a, b))
+        with pytest.raises(SingularRoot, match="did not converge to a root"):
+            solve_polynomial(family_a_polynomial(2), 1, 10)
+
     def test_only_the_last_round_runs_at_full_order(self, monkeypatch):
         # precision doubling: P and dP/dA of the last Newton round and the
         # final residual check are the only evaluations at full order
@@ -226,6 +244,12 @@ class TestStructure:
 
     def test_text(self):
         assert u(1, 0, -2).text() == "1 + 0*t + -2*t^2"
+
+    def test_repr_shows_eight_coefficients(self):
+        assert repr(u(1, Fraction(1, 2), -3)) == "USeries([1, 1/2, -3], order=2)"
+        assert repr(USeries(range(8))) == "USeries([0, 1, 2, 3, 4, 5, 6, 7], order=7)"
+        assert repr(USeries(range(9))) == (
+            "USeries([0, 1, 2, 3, 4, 5, 6, 7, ...], order=8)")
 
 
 class TestCanonicalForm:
@@ -359,6 +383,17 @@ class TestBSeries:
         with pytest.raises(ValueError, match="explicit order"):
             BSeries([])
         assert BSeries([[1]], order=2).grid == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+
+    @pytest.mark.parametrize("other", [1.5, "t", USeries([1, 2])],
+                             ids=["float", "str", "useries"])
+    def test_foreign_operands_refused(self, other):
+        g = BSeries([[1, 1], [1, 0]])
+        for op in (operator.add, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(g, other)
+
+    def test_repr(self):
+        assert repr(BSeries([[1, 1], [1, 0]])) == "BSeries(order=1)"
 
     def test_entry_off_grid_is_zero(self):
         assert BSeries([[1]]).entry(5, 5) == 0

@@ -1,6 +1,7 @@
 import pytest
 
 from wordavoid import verify
+from wordavoid.pattern import TooLarge
 from wordavoid.rules import LevelCensus
 from wordavoid.series import USeries
 from wordavoid.verify import CheckResult, run_checks
@@ -38,6 +39,14 @@ class TestRunChecks:
             run_checks(0, 4)
         with pytest.raises(ValueError):
             run_checks(1, 5, triangle_order=4)
+
+    def test_tree_guard_fires_before_any_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a series check ran before the tree guard")
+
+        monkeypatch.setattr(verify, "family_d", refuse)
+        with pytest.raises(TooLarge):
+            run_checks(1, 10, 80)
 
     def test_d_and_h_built_once(self, monkeypatch):
         # a sqrt each for d and h; a revert and a compose for the Z-sequence,
