@@ -79,43 +79,72 @@ class RuleSpec:
 
 @dataclass(frozen=True, init=False, repr=False)
 class LevelCensus:
-    """Signed label counts per level: unmarked minus marked occurrences."""
+    """Signed label counts per level: unmarked minus marked occurrences.
+
+    `rows[n]` is level n's census as one integer tuple indexed by label
+    value.  A row spans values 0 up to its largest value with a nonzero
+    count and stops there (an empty row when the level nets to nothing),
+    so equal censuses have equal rows.  A row holds one entry per value up
+    to that one, zero or not: short for the built-in rules, whose values
+    exceed their level by at most two, but long for a rule whose values
+    outgrow its levels.  `counts` is the same census as a dict of its
+    nonzero cells, keyed by (level, value).
+    """
 
     max_level: int
-    counts: dict[tuple[int, int], int]
+    rows: tuple[tuple[int, ...], ...]
 
-    __hash__ = None  # counts is a dict
+    __hash__ = None  # a census is compared, never used as a key
 
     def __init__(self, max_level: int, counts: dict[tuple[int, int], int]):
-        if any(not 0 <= lv <= max_level for lv, _ in counts):
-            raise ValueError(f"census levels must lie in 0..{max_level}")
+        rows: list[list[int]] = [[] for _ in range(max_level + 1)]
+        for (lv, v), c in counts.items():
+            if not 0 <= lv <= max_level:
+                raise ValueError(f"census levels must lie in 0..{max_level}")
+            if v < 0:
+                raise ValueError("label values are non-negative")
+            if c:
+                row = rows[lv]
+                row.extend([0] * (v + 1 - len(row)))
+                row[v] = c
+        self._set(max_level, tuple(map(tuple, rows)))
+
+    @classmethod
+    def _from_rows(cls, max_level: int, rows: tuple[tuple[int, ...], ...]) -> "LevelCensus":
+        """A census of rows already in the trimmed form `rows` documents."""
+        census = cls.__new__(cls)
+        census._set(max_level, rows)
+        return census
+
+    def _set(self, max_level: int, rows: tuple[tuple[int, ...], ...]) -> None:
         object.__setattr__(self, "max_level", max_level)
-        object.__setattr__(self, "counts", {key: c for key, c in counts.items() if c != 0})
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def counts(self) -> dict[tuple[int, int], int]:
+        return {(lv, v): c for lv, row in enumerate(self.rows)
+                for v, c in enumerate(row) if c}
 
     def count(self, level: int, value: int) -> int:
-        return self.counts.get((level, value), 0)
+        row = self.rows[level] if 0 <= level <= self.max_level else ()
+        return row[value] if 0 <= value < len(row) else 0
 
     def totals(self) -> list[int]:
-        out = [0] * (self.max_level + 1)
-        for (lv, _), c in self.counts.items():
-            out[lv] += c
-        return out
+        return [sum(row) for row in self.rows]
 
     def max_value(self) -> int:
-        return max((v for (_, v) in self.counts), default=0)
+        return max((len(row) - 1 for row in self.rows if row), default=0)
 
     def matrix(self) -> list[list[int]]:
+        """Every row padded with zeros to values 0..max_value()."""
         width = self.max_value() + 1
-        return [
-            [self.count(lv, v) for v in range(width)]
-            for lv in range(self.max_level + 1)
-        ]
+        return [list(row) + [0] * (width - len(row)) for row in self.rows]
 
     def triangle_rows(self) -> list[list[int]]:
         """Row n restricted to values 0..n, the layout of a lower triangle."""
         return [
-            [self.count(lv, v) for v in range(lv + 1)]
-            for lv in range(self.max_level + 1)
+            list(row[: lv + 1]) + [0] * (lv + 1 - len(row))
+            for lv, row in enumerate(self.rows)
         ]
 
     def __repr__(self):
@@ -157,26 +186,27 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
 
     Signs distribute over the per-level net counts, so nodes are never
     materialized: a level's census is the sum, over its values v with net
-    count c(v), of c(v) times v's row R(v), the signed multiplicities of
-    v's children per jump and label value.  The sum is telescoped: with
+    count c(v), of c(v) times v's offspring P(v), the signed multiplicities
+    of v's children per jump and label value.  The sum is telescoped: with
     the level's nonzero values v_1 < ... < v_m and suffix sums
     S_i = c(v_i) + ... + c(v_m), it equals the sum of S_i times
-    R(v_i) - R(v_(i-1)), R(v_0) being zero.  Each difference is computed
+    P(v_i) - P(v_(i-1)), P(v_0) being zero.  Each difference is computed
     once per pair of consecutive values and kept as its nonzero entries.
-    For a rule whose consecutive rows differ in O(1) entries, as every
+    For a rule whose consecutive offspring differ in O(1) entries, as every
     built-in rule's do, a level then costs O(values) updates and the whole
     census O(levels^2), not O(levels^3).
 
-    Rows are never stored: each reached value keeps only the rule's own
-    label tuples, grouped by jump, and a difference is read from them.
+    Offspring are never stored: each reached value keeps only the rule's
+    own label tuples, grouped by jump, and a difference is read from them.
     Where the lower value's tuples are prefixes of the higher value's, as
     the avoid rule's and the plain Catalan rule's are, only the labels the
     higher value appends are read; otherwise both values' labels are
     counted in full.  `produce` is called once for each value reached with
     a nonzero net count, and for no other value.  Every contribution to a
     level comes from lower levels, so a level is final when the sweep
-    reaches it: its nonzero counts then move into the census and its
-    bucket is dropped.
+    reaches it: its counts are then written as the level's census row,
+    values 0 up to its largest nonzero one (see `LevelCensus`), and its
+    bucket is dropped.  No cell of the census is keyed or stored twice.
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
@@ -184,7 +214,7 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
     pending = {0: {rule.axiom.value: -1 if rule.axiom.marked else 1}}
     arms: dict[int | None, dict[int, tuple]] = {None: {}}
     differences: dict[tuple[int | None, int], tuple] = {}
-    census: dict[tuple[int, int], int] = {}
+    rows: list[tuple[int, ...]] = []
     for lv in range(levels + 1):
         counts = pending.pop(lv, {})
         suffix = sum(counts.values())
@@ -202,10 +232,11 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
                 bucket = pending.setdefault(target, {})
                 for w, d in entries:
                     bucket[w] = bucket.get(w, 0) + suffix * d
-            census[lv, value] = counts[value]
             suffix -= counts[value]
             prev = value
-    return LevelCensus(levels, census)
+        # prev is the level's largest nonzero value, where its row stops
+        rows.append(() if prev is None else tuple(counts.get(v, 0) for v in range(prev + 1)))
+    return LevelCensus._from_rows(levels, tuple(rows))
 
 
 def expand_exhaustive(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordavoid.cli import render_matrix
+from wordavoid.paths import build_tree, signed_census
 from wordavoid.riordan import family_triangle
 from wordavoid.rules import (
     ZERO1,
@@ -161,6 +162,24 @@ class TestAvoidRule:
             tracemalloc.stop()
         assert census.max_level == 120
         assert peak < 1.75 * retained
+
+    def test_expand_peak_stays_within_a_quarter_of_its_result(self):
+        # each finished level is written once, as its row: no key per cell
+        # and no second, filtered copy of the census
+        rule = avoid_rule(2)
+        tracemalloc.start()
+        try:
+            census = expand(rule, 120)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert census.max_level == 120
+        assert peak < 1.25 * retained
+
+    def test_counts_are_the_nonzero_cells(self):
+        # the benchmark's traced rules.census_cells is this length
+        census = expand(avoid_rule(2), 120)
+        assert len(census.counts) == 121 * 122 // 2 == 7381
 
     def test_j_validated(self):
         with pytest.raises(ValueError):
@@ -344,3 +363,47 @@ class TestLevelCensus:
 
     def test_repr(self):
         assert repr(expand(avoid_rule(1), 3)) == "LevelCensus(max_level=3)"
+
+    def test_rows_do_not_depend_on_the_source(self):
+        census = expand(avoid_rule(1), 4)
+        padded = {**census.counts, (0, 3): 0, (1, 5): 0, (4, 9): 0, (3, 7): 0}
+        assert LevelCensus(4, padded) == census
+        assert LevelCensus(4, padded).rows == census.rows
+        assert signed_census(build_tree(1, 4)) == census
+        assert signed_census(build_tree(1, 4)).rows == census.rows
+        assert census.rows[2] == (4, 2, 1)
+
+    def test_rows_stop_at_their_last_nonzero_value(self):
+        census = LevelCensus(2, {(0, 0): 1, (1, 3): -2, (1, 5): 0, (2, 1): 0})
+        assert census.rows == ((1,), (0, 0, 0, -2), ())
+        assert census.max_value() == 3
+        assert census.totals() == [1, -2, 0]
+
+    def test_value_above_its_level(self):
+        census = LevelCensus(1, {(1, 50): 1})
+        assert census.rows == ((), (0,) * 50 + (1,))
+        assert census.count(1, 50) == 1
+        assert census.count(1, 51) == census.count(0, 50) == 0
+        assert census.counts == {(1, 50): 1}
+        assert census.max_value() == 50
+        assert census.matrix() == [[0] * 51, [0] * 50 + [1]]
+        assert census.triangle_rows() == [[0], [0, 0]]
+
+    def test_catalan_axiom_value(self):
+        census = expand(catalan_plain_rule(), 2)
+        assert census.count(0, 2) == 1
+        assert census.count(0, 0) == census.count(0, 1) == 0
+        assert census.counts == {(0, 2): 1, (1, 2): 1, (1, 3): 1,
+                                 (2, 2): 2, (2, 3): 2, (2, 4): 1}
+        assert census.matrix() == [[0, 0, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 2, 2, 1]]
+        assert census.triangle_rows() == [[0], [0, 0], [0, 0, 2]]
+
+    def test_cells_outside_the_census_read_zero(self):
+        census = expand(avoid_rule(1), 2)
+        for level, value in ((-1, 0), (3, 0), (0, -1), (1, 2), (2, -3)):
+            assert census.count(level, value) == 0
+
+    def test_negative_value_refused(self):
+        for c in (1, 0):
+            with pytest.raises(ValueError):
+                LevelCensus(1, {(0, 0): 1, (1, -1): c})
