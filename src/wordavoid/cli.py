@@ -29,14 +29,15 @@ FORMATS = ("csv", "json", "text")
 # has the most terms, and 0.006 s for a 7-letter one; family_z at series
 # order 100 about 0.2 s, family_a at most 0.07 s for j up to 99; run_checks
 # at verify order 80 with two levels about 0.37 s for any j.  Expand of the
-# avoid rule at 300 levels takes 0.054-0.060 s for j = 1..3, the best of 8
-# rounds of min of 5 (the rounds' median 0.08-0.10 s), and the whole command
-# `rule avoid 300 --j 3 csv` 0.28 s, the median of 8 fresh processes.  A
-# rule census prints (L+1)^2 big integers, which also bounds its cap.  The
-# family's j goes no higher than the rule cap: a marked jump of j + 1 levels
-# beyond the last one never fires.  At j = 300, family_a at order 100 takes
-# about 0.11 s, expand of the avoid rule at 300 levels (j = 299) 0.044 s
-# (best of the same 8 rounds) and build_tree to level 8 0.15 s.
+# avoid rule at 300 levels takes 0.019-0.021 s for j = 1..3, the best of 8
+# rounds of min of 5 (the rounds' median 0.020-0.022 s), and the whole
+# command `rule avoid 300 --j 3 csv` 0.14 s, the median of 8 fresh
+# processes.  A rule census prints (L+1)^2 big integers, which also bounds
+# its cap.  The family's j goes no higher than the rule cap: a marked jump
+# of j + 1 levels beyond the last one never fires.  At j = 300, family_a at
+# order 100 takes about 0.11 s, expand of the avoid rule at 300 levels
+# (j = 299) 0.018 s (best of the same 8 rounds) and build_tree to level 8
+# 0.15 s.
 TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100
 VERIFY_ORDER_CAP = 80

@@ -169,6 +169,30 @@ def _live_transitions(bits: str) -> list[list[tuple[int, int]]]:
     return [[(s, row[b]) for s, row in enumerate(rows) if row[b] < h] for b in (0, 1)]
 
 
+def _zero_sweep(on_zero: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int | None]:
+    """The live zero moves in the order a row sweeps them, and the loop state.
+
+    Every state has at most one live zero move.  Followed from any state,
+    they end within len(bits) moves at the state of the pattern's
+    leading-zero run, the one state a zero leaves in place, or at a state
+    whose zero completes a match (for 0^h there is no loop state).  So the
+    zero moves form trees, and sweeping states in decreasing distance from
+    where their moves end finishes each state's list before it is pushed
+    on."""
+    succ = dict(on_zero)
+    loop = next((s for s, t in on_zero if s == t), None)
+
+    def distance(s: int) -> int:
+        d = 0
+        while s != loop and s in succ:
+            s, d = succ[s], d + 1
+        return d
+
+    moves = [(s, t) for s, t in on_zero if s != loop]
+    moves.sort(key=lambda move: -distance(move[0]))
+    return moves, loop
+
+
 def count_by_automaton(p: "Pattern | str", ones: int, zeros: int) -> int:
     """Avoider count by dynamic programming over the pattern's prefix
     automaton, with the full-match state forbidden.  Polynomial in the
@@ -176,29 +200,43 @@ def count_by_automaton(p: "Pattern | str", ones: int, zeros: int) -> int:
 
     Only the live transitions enter the sweep: for each letter, the
     (state, next) pairs that do not complete a match, which
-    `_live_transitions` builds in one pass.  The cells with i
-    ones form row i, held as one list over the zero count per state.  Each
-    row is swept once: its zeros are pushed along it cell by cell, then its
-    ones are pushed into the next row a whole state list at a time, so the
-    cost is O(ones * zeros * live transitions).
+    `_live_transitions` builds in one pass.  The cells with i ones form row
+    i, held as one list over the zero count per state, and every step
+    moves a whole list.  Within a row, the states are swept in decreasing
+    distance from where their zero moves end (`_zero_sweep`): each state's
+    finished list, shifted by one zero, is added to its zero successor's,
+    and the loop state, which a zero leaves in place, takes prefix sums.  The ones
+    are then moved into the next row a state list at a time.  Lists are
+    never changed in place, so a state with a single source shares its
+    list, and the all-zero list is never added.  The cost is
+    O(ones * zeros * live transitions) additions, each row's done by a few
+    list operations per state.
     """
     p = as_pattern(p)
     if ones < 0 or zeros < 0:
         raise ValueError("letter counts must be non-negative")
     h = len(p.bits)
     on_zero, on_one = _live_transitions(p.bits)
+    moves, loop = _zero_sweep(on_zero)
+    empty = [0] * (zeros + 1)
     # row[s][z]: words with i ones and z zeros that end in state s
-    row = [[0] * (zeros + 1) for _ in range(h)]
-    row[0][0] = 1
+    row = [empty] * h
+    row[0] = [1] + empty[1:]
     for i in range(ones + 1):
-        pairs = [(row[s], row[t]) for s, t in on_zero]
-        for z in range(zeros):
-            for src, dst in pairs:
-                dst[z + 1] += src[z]
+        for s, t in moves:
+            src = row[s]
+            if src is empty:
+                continue
+            shifted = [0] + src[:-1]
+            row[t] = shifted if row[t] is empty else list(map(add, row[t], shifted))
+        if loop is not None and row[loop] is not empty:
+            row[loop] = list(itertools.accumulate(row[loop]))
         if i == ones:
             break
-        nxt = [[0] * (zeros + 1) for _ in range(h)]
+        nxt = [empty] * h
         for s, t in on_one:
-            nxt[t] = list(map(add, nxt[t], row[s]))
+            src = row[s]
+            if src is not empty:
+                nxt[t] = src if nxt[t] is empty else list(map(add, nxt[t], src))
         row = nxt
     return sum(states[zeros] for states in row)

@@ -12,7 +12,9 @@ same value on the same level.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import FrozenInstanceError, dataclass
+from operator import add, mul, sub
 from typing import Callable
 
 from .pattern import family_pattern
@@ -97,6 +99,8 @@ class LevelCensus:
     __hash__ = None  # a census is compared, never used as a key
 
     def __init__(self, max_level: int, counts: dict[tuple[int, int], int]):
+        if max_level < 0:
+            raise ValueError("max_level must be non-negative")
         rows: list[list[int]] = [[] for _ in range(max_level + 1)]
         for (lv, v), c in counts.items():
             if not 0 <= lv <= max_level:
@@ -196,46 +200,103 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
     built-in rule's do, a level then costs O(values) updates and the whole
     census O(levels^2), not O(levels^3).
 
+    The sweep takes a whole run of values at a time where it can.  Each
+    level waits in `pending` as a list indexed by value, and its nonzero
+    values fall into runs lo..hi of consecutive values.  A run's first
+    value lo adds its difference from the previous nonzero value entry by
+    entry.  When every pair (v - 1, v) inside the run differs by the same
+    entries once a child's value is measured from v (the same jumps,
+    offsets and signs: one shared `steps` object, found by a C-level
+    `list.count`, so the test takes no Python step per value), the terms
+    S(lo + 1..hi) times those entries land in each target row by one slice
+    assignment per entry.  Every built-in rule's runs are of this kind;
+    any other run adds its values' differences one value at a time.
+
     Offspring are never stored: each reached value keeps only the rule's
     own label tuples, grouped by jump, and a difference is read from them.
     Where the lower value's tuples are prefixes of the higher value's, as
     the avoid rule's and the plain Catalan rule's are, only the labels the
     higher value appends are read; otherwise both values' labels are
     counted in full.  `produce` is called once for each value reached with
-    a nonzero net count, and for no other value.  Every contribution to a
-    level comes from lower levels, so a level is final when the sweep
-    reaches it: its counts are then written as the level's census row,
-    values 0 up to its largest nonzero one (see `LevelCensus`), and its
-    bucket is dropped.  No cell of the census is keyed or stored twice.
+    a nonzero net count, and for no other value, in the order of the values
+    within each level.  Every contribution to a level comes from lower
+    levels, so a level is final when the sweep reaches it: its list, cut
+    after its largest nonzero value, becomes the level's census row (see
+    `LevelCensus`), and its bucket is dropped.
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    # the counts of levels the sweep has not reached, by level
-    pending = {0: {rule.axiom.value: -1 if rule.axiom.marked else 1}}
+    # the counts of levels the sweep has not reached, by level and value
+    axiom = rule.axiom
+    pending = {0: [0] * axiom.value + [-1 if axiom.marked else 1]}
     arms: dict[int | None, dict[int, tuple]] = {None: {}}
     differences: dict[tuple[int | None, int], tuple] = {}
+    # steps[v]: the difference of the pair (v - 1, v) as (jump, child value
+    # minus v, sign) triples, one object per distinct shape; None if unknown
+    steps: list[tuple | None] = []
+    shapes: dict[tuple, tuple] = {}
     rows: list[tuple[int, ...]] = []
-    for lv in range(levels + 1):
-        counts = pending.pop(lv, {})
-        suffix = sum(counts.values())
-        prev = None
-        for value in sorted(v for v, c in counts.items() if c):
-            diff = differences.get((prev, value))
-            if diff is None:
-                if value not in arms:
-                    arms[value] = _arms(rule.produce(value))
-                diff = differences[prev, value] = _difference(arms[prev], arms[value])
-            for jump, entries in diff:
-                target = lv + jump
-                if target > levels:
-                    continue
-                bucket = pending.setdefault(target, {})
+
+    def difference(low: int | None, high: int) -> tuple:
+        diff = differences.get((low, high))
+        if diff is None:
+            if high not in arms:
+                arms[high] = _arms(rule.produce(high))
+            diff = differences[low, high] = _difference(arms[low], arms[high])
+        return diff
+
+    def spread(diff: tuple, lv: int, factor: int) -> None:
+        for jump, entries in diff:
+            if lv + jump <= levels:
+                row = pending.setdefault(lv + jump, [])
+                if len(row) <= entries[-1][0]:
+                    row.extend([0] * (entries[-1][0] + 1 - len(row)))
                 for w, d in entries:
-                    bucket[w] = bucket.get(w, 0) + suffix * d
-            suffix -= counts[value]
-            prev = value
-        # prev is the level's largest nonzero value, where its row stops
-        rows.append(() if prev is None else tuple(counts.get(v, 0) for v in range(prev + 1)))
+                    row[w] += factor * d
+
+    def shared_step(lo: int, hi: int) -> tuple | None:
+        """The step all pairs (v - 1, v) of the run lo..hi share, if any."""
+        steps.extend([None] * (hi + 1 - len(steps)))
+        v = lo
+        while None in steps[v + 1 : hi + 1]:
+            v = steps.index(None, v + 1, hi + 1)
+            step = tuple((jump, w - v, d) for jump, entries in difference(v - 1, v)
+                         for w, d in entries)
+            steps[v] = shapes.setdefault(step, step)
+        return steps[hi] if steps[lo + 1 : hi + 1].count(steps[hi]) == hi - lo else None
+
+    for lv in range(levels + 1):
+        counts = pending.pop(lv, [])
+        while counts and not counts[-1]:
+            counts.pop()
+        rows.append(tuple(counts))
+        counts.append(0)  # ends the last run
+        suffix = sum(counts)
+        nonzero = itertools.compress(itertools.count(), counts)
+        prev, lo = None, next(nonzero, None)
+        while lo is not None:
+            # the run of nonzero values lo..hi
+            hi = counts.index(0, lo) - 1
+            spread(difference(prev, lo), lv, suffix)
+            rest = suffix - sum(counts[lo : hi + 1])  # S(hi + 1)
+            step = shared_step(lo, hi) if hi > lo else None
+            if step is None:
+                for v in range(lo + 1, hi + 1):
+                    suffix -= counts[v - 1]
+                    spread(difference(v - 1, v), lv, suffix)
+            else:
+                # the suffix sums S(lo + 1..hi)
+                sums = list(itertools.accumulate(reversed(counts[lo + 1 : hi + 1]),
+                                                 initial=rest))[:0:-1]
+                for jump, offset, d in step:
+                    if lv + jump <= levels:
+                        row = pending.setdefault(lv + jump, [])
+                        start, stop = lo + 1 + offset, hi + 1 + offset
+                        row.extend([0] * (stop - len(row)))
+                        terms = sums if d in (1, -1) else map(mul, sums, itertools.repeat(abs(d)))
+                        row[start:stop] = map(add if d > 0 else sub, row[start:stop], terms)
+            suffix, prev = rest, hi
+            lo = next(itertools.islice(nonzero, hi - lo, None), None)
     return LevelCensus._from_rows(levels, tuple(rows))
 
 

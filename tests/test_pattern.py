@@ -165,6 +165,16 @@ class TestAutomaton:
                         bits, n, k
                     ), (bits, n, k)
 
+    def test_every_sweep_shape_along_the_table_edges(self):
+        # every pattern of length 1-7: leading zeros move the state a zero
+        # leaves in place off state 0, and 0^h has no such state at all
+        every = ("".join(t) for h in range(1, 8) for t in itertools.product("01", repeat=h))
+        for bits in every:
+            table = avoider_table(bits, 12)
+            for i in range(13):
+                assert count_by_automaton(bits, 12, i) == table.entry(12, i), (bits, i)
+                assert count_by_automaton(bits, i, 12) == table.entry(i, 12), (bits, i)
+
 
 patterns = st.text(alphabet="01", min_size=1, max_size=7)
 

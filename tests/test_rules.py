@@ -320,6 +320,86 @@ class TestExhaustiveAgreement:
             expand_exhaustive(avoid_rule(1), -1)
 
 
+def naive_census(rule, levels):
+    """The untelescoped census, level by level: each value v with net count
+    c(v) adds c(v) times each of its children's signs, child by child."""
+    pending = {0: {rule.axiom.value: -1 if rule.axiom.marked else 1}}
+    counts = {}
+    for lv in range(levels + 1):
+        for v, c in pending.pop(lv, {}).items():
+            if not c:
+                continue
+            counts[lv, v] = c
+            for prod in rule.produce(v):
+                if lv + prod.jump <= levels:
+                    bucket = pending.setdefault(lv + prod.jump, {})
+                    for lab in prod.labels:
+                        bucket[lab.value] = bucket.get(lab.value, 0) + (-c if lab.marked else c)
+    return LevelCensus(levels, counts)
+
+
+class TestRowSweep:
+    """`expand` adds a run of values with equal offspring differences by
+    whole-row slices; these checks reach far below `expand_exhaustive`."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: avoid_rule(1), lambda: avoid_rule(2), lambda: avoid_rule(3),
+         catalan_plain_rule, catalan_marked_rule, motzkin_jump_rule],
+        ids=["avoid-j1", "avoid-j2", "avoid-j3", "catalan-plain", "catalan-marked",
+             "motzkin"],
+    )
+    def test_matches_the_untelescoped_census_at_depth(self, make):
+        assert expand(make(), 60) == naive_census(make(), 60)
+
+    @settings(max_examples=60)
+    @given(random_rules(), st.integers(min_value=0, max_value=10))
+    def test_matches_the_untelescoped_census_on_drawn_rules(self, rule, levels):
+        assert expand(rule, levels) == naive_census(rule, levels)
+
+    def test_produce_calls_are_those_of_the_value_loop(self):
+        # the sequence the value-at-a-time sweep made: each value once, in
+        # the order the levels first reach it
+        rule = avoid_rule(2)
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return rule.produce(k)
+
+        expand(RuleSpec(rule.name, rule.axiom, counted), 20)
+        assert calls == list(range(21))
+
+    def test_levels_of_several_runs(self):
+        # value 2 is never reached, so from level 1 on each level's values
+        # form two runs, 0..1 and one from 3 or 4 up, each swept as a whole;
+        # the doubled label makes a difference entry of 2
+        calls = []
+
+        def produce(k):
+            calls.append(k)
+            return (Production(1, (Label(0), Label(1), Label(k + 3), Label(k + 4),
+                                   Label(k + 4))),
+                    Production(2, (Label(k + 3, marked=True),)))
+
+        rule = RuleSpec("runs", Label(0), produce)
+        census = expand(rule, 12)
+        assert sorted(calls) == sorted({v for (_, v) in census.counts})
+        assert census.rows[2] == (5, 5, 0, 0, 3, 2, 1, 4, 4)
+        assert census == naive_census(rule, 12)
+        assert expand(rule, 6) == expand_exhaustive(rule, 6)
+
+    def test_runs_whose_differences_alternate(self):
+        # even values have a jump-two arm and odd ones do not, so no run
+        # longer than two values differs alike and each adds value by value
+        def produce(k):
+            near = Production(1, (Label(0), Label(k + 1)))
+            return (near, Production(2, (Label(k + 2),))) if k % 2 == 0 else (near,)
+
+        rule = RuleSpec("parity", Label(0), produce)
+        assert expand(rule, 40) == naive_census(rule, 40)
+
+
 class TestLevelCensus:
     def test_zero_entries_dropped(self):
         census = LevelCensus(1, {(0, 0): 1, (1, 0): 0, (1, 1): 2})
@@ -402,6 +482,13 @@ class TestLevelCensus:
         census = expand(avoid_rule(1), 2)
         for level, value in ((-1, 0), (3, 0), (0, -1), (1, 2), (2, -3)):
             assert census.count(level, value) == 0
+
+    def test_negative_max_level_refused(self):
+        # a census has levels 0..max_level, so at least one row
+        for max_level in (-1, -5):
+            with pytest.raises(ValueError, match="max_level must be non-negative"):
+                LevelCensus(max_level, {})
+        assert LevelCensus(0, {}).rows == ((),)
 
     def test_negative_value_refused(self):
         for c in (1, 0):
