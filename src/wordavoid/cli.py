@@ -10,13 +10,16 @@ wordavoid module itself: each command imports the modules it runs, so
 Each subcommand declares its size caps where the parser declares it, and
 `main` checks them all before the command loads a module.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-errors (including sizes beyond the built-in guards).
+errors (including sizes beyond the built-in guards), 141 (128 + SIGPIPE)
+when the reader closes standard output before the command has written
+all of it, as `| head` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 FORMATS = ("csv", "json", "text")
@@ -29,20 +32,22 @@ FORMATS = ("csv", "json", "text")
 # has the most terms, and 0.006 s for a 7-letter one; family_z at series
 # order 100 about 0.2 s, family_a at most 0.07 s for j up to 99; run_checks
 # at verify order 80 with two levels about 0.37 s for any j.  Expand of the
-# avoid rule at 300 levels takes 0.019-0.021 s for j = 1..3, the best of 8
-# rounds of min of 5 (the rounds' median 0.020-0.022 s), and the whole
-# command `rule avoid 300 --j 3 csv` 0.14 s, the median of 8 fresh
-# processes.  A rule census prints (L+1)^2 big integers, which also bounds
-# its cap.  The family's j goes no higher than the rule cap: a marked jump
-# of j + 1 levels beyond the last one never fires.  At j = 300, family_a at
-# order 100 takes about 0.11 s, expand of the avoid rule at 300 levels
-# (j = 299) 0.018 s (best of the same 8 rounds) and build_tree to level 8
-# 0.15 s.
+# avoid rule at 300 levels takes 0.021-0.023 s for j = 1..3, the best of 8
+# rounds of min of 5 (the rounds' median 0.026-0.029 s), and the whole
+# command `rule avoid 300 --j 3 csv` 0.16 s, the median of 8 fresh
+# processes (0.14-0.17 s).  A rule census prints (L+1)^2 big integers, which
+# also bounds its cap.  The family's j goes no higher than the rule cap: a
+# marked jump of j + 1 levels beyond the last one never fires.  At j = 300,
+# family_a at order 100 takes about 0.11 s, expand of the avoid rule at 300
+# levels (j = 299) 0.017 s (best of the same 8 rounds; median 0.026 s) and
+# build_tree to level 8 0.15 s.
 TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100
 VERIFY_ORDER_CAP = 80
 RULE_LEVELS_CAP = 300
 J_CAP = RULE_LEVELS_CAP
+
+PIPE_CLOSED = 141  # the exit code of a write to a closed pipe: 128 + SIGPIPE
 
 
 def _pattern_arg(text: str) -> str:
@@ -287,10 +292,16 @@ def main(argv=None) -> int:
         for name, cap in args.caps.items():
             if (getattr(args, name, None) or 0) > cap:
                 raise ValueError(f"{name} must be at most {cap}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_CLOSED
 
 
 if __name__ == "__main__":

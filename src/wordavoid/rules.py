@@ -163,9 +163,10 @@ def _arms(productions: tuple[Production, ...]) -> dict[int, tuple[tuple[Label, .
     return arms
 
 
-def _difference(low: dict[int, tuple], high: dict[int, tuple]):
+def _difference(low: dict[int, tuple], high: dict[int, tuple], base: int) -> tuple:
     """The nonzero entries of value `high`'s signed child multiplicities
-    minus value `low`'s, grouped by jump, read from their label tuples."""
+    minus value `low`'s, read from their label tuples, as (jump, child value
+    minus `base`, multiplicity) triples in jump and value order."""
     out = []
     for jump in sorted(low.keys() | high.keys()):
         a, b = low.get(jump, ()), high.get(jump, ())
@@ -179,9 +180,7 @@ def _difference(low: dict[int, tuple], high: dict[int, tuple]):
         signed: dict[int, int] = {}
         for lab, sign in terms:
             signed[lab.value] = signed.get(lab.value, 0) + (-sign if lab.marked else sign)
-        entries = tuple((value, d) for value, d in sorted(signed.items()) if d)
-        if entries:
-            out.append((jump, entries))
+        out += [(jump, value - base, d) for value, d in sorted(signed.items()) if d]
     return tuple(out)
 
 
@@ -195,22 +194,20 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
     the level's nonzero values v_1 < ... < v_m and suffix sums
     S_i = c(v_i) + ... + c(v_m), it equals the sum of S_i times
     P(v_i) - P(v_(i-1)), P(v_0) being zero.  Each difference is computed
-    once per pair of consecutive values and kept as its nonzero entries.
-    For a rule whose consecutive offspring differ in O(1) entries, as every
-    built-in rule's do, a level then costs O(values) updates and the whole
-    census O(levels^2), not O(levels^3).
+    once per pair of values and kept as its nonzero entries, each child's
+    value measured from the higher value of the pair.  For a rule whose
+    consecutive offspring differ in O(1) entries, as every built-in rule's
+    do, a level then costs O(values) additions and the whole census
+    O(levels^2), not O(levels^3).
 
-    The sweep takes a whole run of values at a time where it can.  Each
-    level waits in `pending` as a list indexed by value, and its nonzero
-    values fall into runs lo..hi of consecutive values.  A run's first
-    value lo adds its difference from the previous nonzero value entry by
-    entry.  When every pair (v - 1, v) inside the run differs by the same
-    entries once a child's value is measured from v (the same jumps,
-    offsets and signs: one shared `steps` object, found by a C-level
-    `list.count`, so the test takes no Python step per value), the terms
-    S(lo + 1..hi) times those entries land in each target row by one slice
-    assignment per entry.  Every built-in rule's runs are of this kind;
-    any other run adds its values' differences one value at a time.
+    Every term goes through one `spread`: a slice of suffix sums times one
+    entry, added into the entry's target row.  Each level waits in
+    `pending` as a list indexed by value, and its nonzero values fall into
+    runs lo..hi of consecutive values.  A run's first value adds its
+    difference from the previous nonzero value; the rest of the run splits
+    into groups of consecutive values with equal differences from the value
+    below, each added as one slice.  Every built-in rule's runs are one
+    group each.
 
     Offspring are never stored: each reached value keeps only the rule's
     own label tuples, grouped by jump, and a difference is read from them.
@@ -231,10 +228,10 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
     pending = {0: [0] * axiom.value + [-1 if axiom.marked else 1]}
     arms: dict[int | None, dict[int, tuple]] = {None: {}}
     differences: dict[tuple[int | None, int], tuple] = {}
-    # steps[v]: the difference of the pair (v - 1, v) as (jump, child value
-    # minus v, sign) triples, one object per distinct shape; None if unknown
+    # steps[v]: the difference of the pair (v - 1, v), None until needed; one
+    # equal to steps[v - 1] is stored as that object, so `groupby` compares
+    # equal neighbours by identity
     steps: list[tuple | None] = []
-    shapes: dict[tuple, tuple] = {}
     rows: list[tuple[int, ...]] = []
 
     def difference(low: int | None, high: int) -> tuple:
@@ -242,60 +239,44 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
         if diff is None:
             if high not in arms:
                 arms[high] = _arms(rule.produce(high))
-            diff = differences[low, high] = _difference(arms[low], arms[high])
+            diff = differences[low, high] = _difference(arms[low], arms[high], high)
         return diff
 
-    def spread(diff: tuple, lv: int, factor: int) -> None:
-        for jump, entries in diff:
+    def spread(lv: int, diff: tuple, start: int, sums: list[int]) -> None:
+        """Add sums[i] times each entry of `diff` for the value start + i."""
+        for jump, offset, d in diff:
             if lv + jump <= levels:
                 row = pending.setdefault(lv + jump, [])
-                if len(row) <= entries[-1][0]:
-                    row.extend([0] * (entries[-1][0] + 1 - len(row)))
-                for w, d in entries:
-                    row[w] += factor * d
-
-    def shared_step(lo: int, hi: int) -> tuple | None:
-        """The step all pairs (v - 1, v) of the run lo..hi share, if any."""
-        steps.extend([None] * (hi + 1 - len(steps)))
-        v = lo
-        while None in steps[v + 1 : hi + 1]:
-            v = steps.index(None, v + 1, hi + 1)
-            step = tuple((jump, w - v, d) for jump, entries in difference(v - 1, v)
-                         for w, d in entries)
-            steps[v] = shapes.setdefault(step, step)
-        return steps[hi] if steps[lo + 1 : hi + 1].count(steps[hi]) == hi - lo else None
+                first, stop = start + offset, start + offset + len(sums)
+                row.extend([0] * (stop - len(row)))
+                terms = sums if d in (1, -1) else map(mul, sums, itertools.repeat(abs(d)))
+                row[first:stop] = map(add if d > 0 else sub, row[first:stop], terms)
 
     for lv in range(levels + 1):
         counts = pending.pop(lv, [])
         while counts and not counts[-1]:
             counts.pop()
         rows.append(tuple(counts))
+        sums = list(itertools.accumulate(reversed(counts)))  # S(v), by value
+        sums.reverse()
         counts.append(0)  # ends the last run
-        suffix = sum(counts)
+        steps.extend([None] * (len(counts) - len(steps)))
         nonzero = itertools.compress(itertools.count(), counts)
         prev, lo = None, next(nonzero, None)
         while lo is not None:
             # the run of nonzero values lo..hi
             hi = counts.index(0, lo) - 1
-            spread(difference(prev, lo), lv, suffix)
-            rest = suffix - sum(counts[lo : hi + 1])  # S(hi + 1)
-            step = shared_step(lo, hi) if hi > lo else None
-            if step is None:
-                for v in range(lo + 1, hi + 1):
-                    suffix -= counts[v - 1]
-                    spread(difference(v - 1, v), lv, suffix)
-            else:
-                # the suffix sums S(lo + 1..hi)
-                sums = list(itertools.accumulate(reversed(counts[lo + 1 : hi + 1]),
-                                                 initial=rest))[:0:-1]
-                for jump, offset, d in step:
-                    if lv + jump <= levels:
-                        row = pending.setdefault(lv + jump, [])
-                        start, stop = lo + 1 + offset, hi + 1 + offset
-                        row.extend([0] * (stop - len(row)))
-                        terms = sums if d in (1, -1) else map(mul, sums, itertools.repeat(abs(d)))
-                        row[start:stop] = map(add if d > 0 else sub, row[start:stop], terms)
-            suffix, prev = rest, hi
+            spread(lv, difference(prev, lo), lo, sums[lo : lo + 1])
+            if None in steps[lo + 1 : hi + 1]:
+                for v in range(steps.index(None, lo + 1), hi + 1):
+                    step = difference(v - 1, v)
+                    steps[v] = steps[v - 1] if step == steps[v - 1] else step
+            start = lo + 1
+            for step, group in itertools.groupby(steps[lo + 1 : hi + 1]):
+                stop = start + len(list(group))
+                spread(lv, step, start, sums[start:stop])
+                start = stop
+            prev = hi
             lo = next(itertools.islice(nonzero, hi - lo, None), None)
     return LevelCensus._from_rows(levels, tuple(rows))
 

@@ -1,13 +1,17 @@
 import ast
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from wordavoid.cli import (
     J_CAP,
+    PIPE_CLOSED,
     RULE_LEVELS_CAP,
     SERIES_ORDER_CAP,
     TABLE_ORDER_CAP,
@@ -528,3 +532,25 @@ class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestClosedPipe:
+    def test_reader_closing_the_pipe_is_no_traceback(self):
+        # the level's 134 KB of csv outgrow the pipe's buffer, so the command
+        # is still writing when the reader closes its end after one line
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wordavoid.cli", "construct", "nodes", "--j", "1",
+             "--level", "6", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline().count(b",") == 4
+            proc.stdout.close()
+            err = proc.stderr.read()
+            rc = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert b"Traceback" not in err
+        assert rc == PIPE_CLOSED == 141

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wordavoid.cli import render_matrix
 from wordavoid.paths import build_tree, signed_census
+from wordavoid import rules
 from wordavoid.riordan import family_triangle
 from wordavoid.rules import (
     ZERO1,
@@ -398,6 +399,40 @@ class TestRowSweep:
 
         rule = RuleSpec("parity", Label(0), produce)
         assert expand(rule, 40) == naive_census(rule, 40)
+
+    def test_a_run_that_splits_into_two_groups(self):
+        # values from 5 on add one jump-two child each, (5)...(k), so the
+        # differences of the pairs (v - 1, v) change once, at v = 5: a run
+        # 0..hi past it splits into the groups 1..4 and 5..hi
+        def produce(k):
+            near = Production(1, (Label(0), Label(k + 1)))
+            if k < 5:
+                return (near,)
+            return (near, Production(2, tuple(Label(v) for v in range(5, k + 1))))
+
+        rule = RuleSpec("late-arm", Label(0), produce)
+        census = expand(rule, 40)
+        assert all(all(row) and len(row) == lv + 1 for lv, row in enumerate(census.rows))
+        assert census == naive_census(rule, 40)
+        assert expand(rule, 8) == expand_exhaustive(rule, 8)
+
+    @pytest.mark.parametrize("make,calls", [(lambda: avoid_rule(2), 121),
+                                            (motzkin_jump_rule, 239)],
+                             ids=["avoid-j2", "motzkin"])
+    def test_each_difference_is_computed_once(self, monkeypatch, make, calls):
+        # one per pair of values the sweep compares; recomputing them per
+        # level instead makes the avoid rule's census about a fifth slower
+        seen = 0
+        difference = rules._difference
+
+        def counting(*args):
+            nonlocal seen
+            seen += 1
+            return difference(*args)
+
+        monkeypatch.setattr(rules, "_difference", counting)
+        expand(make(), 120)
+        assert seen == calls
 
 
 class TestLevelCensus:
