@@ -8,7 +8,8 @@ nodes, and the csv and json forms of a node are defined here.  It loads no
 wordavoid module itself: each command imports the modules it runs, so
 `autocorr` never loads the construction or the battery.
 Each subcommand declares its size caps where the parser declares it, and
-`main` checks them all before the command loads a module.
+`main` checks them all before the command loads a module; the parser itself
+refuses a pattern longer than its cap.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors (including sizes beyond the built-in guards), 141 (128 + SIGPIPE)
 when the reader closes standard output before the command has written
@@ -40,12 +41,22 @@ FORMATS = ("csv", "json", "text")
 # marked jump of j + 1 levels beyond the last one never fires.  At j = 300,
 # family_a at order 100 takes about 0.11 s, expand of the avoid rule at 300
 # levels (j = 299) 0.017 s (best of the same 8 rounds; median 0.026 s) and
-# build_tree to level 8 0.15 s.
+# build_tree to level 8 0.15 s.  The other rules at 300 levels, best of 8
+# rounds of min of 5 (the rounds' median): Motzkin 0.037 s (0.039 s), marked
+# Catalan 0.020 s (0.021 s), plain Catalan 0.017 s (0.018 s); `rule motzkin2
+# 300 csv` 0.15 s and `rule catalan-marked 300 csv` 0.13 s, the median of 8
+# fresh processes.  The pattern's length is checked by `_pattern_arg` while
+# argparse parses, so before any command module loads: autocorrelation and
+# correlation_terms slice or count every tail, so their cost is quadratic.
+# For 1^h, the worst of four shapes measured, avoider_table at order 40 takes
+# 0.066 s at h = 10,000 and 0.24 s at h = 20,000 (min of 3), and autocorr
+# the same.
 TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100
 VERIFY_ORDER_CAP = 80
 RULE_LEVELS_CAP = 300
 J_CAP = RULE_LEVELS_CAP
+PATTERN_LENGTH_CAP = 10_000
 
 PIPE_CLOSED = 141  # the exit code of a write to a closed pipe: 128 + SIGPIPE
 
@@ -53,6 +64,9 @@ PIPE_CLOSED = 141  # the exit code of a write to a closed pipe: 128 + SIGPIPE
 def _pattern_arg(text: str) -> str:
     if not text or set(text) - {"0", "1"}:
         raise argparse.ArgumentTypeError("pattern must be a nonempty 0/1 string")
+    if len(text) > PATTERN_LENGTH_CAP:
+        raise argparse.ArgumentTypeError(
+            f"pattern must be at most {PATTERN_LENGTH_CAP} letters")
     return text
 
 

@@ -12,9 +12,10 @@ same value on the same level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
-from operator import add, mul, sub
+from operator import add, is_not, mul, sub
 from typing import Callable
 
 from .pattern import family_pattern
@@ -155,33 +156,27 @@ class LevelCensus:
         return f"LevelCensus(max_level={self.max_level})"
 
 
-def _arms(productions: tuple[Production, ...]) -> dict[int, tuple[tuple[Label, ...], ...]]:
-    """The productions' own label tuples grouped by jump, in rule order."""
-    arms: dict[int, tuple[tuple[Label, ...], ...]] = {}
-    for prod in productions:
-        arms[prod.jump] = arms.get(prod.jump, ()) + (prod.labels,)
-    return arms
-
-
-def _difference(low: dict[int, tuple], high: dict[int, tuple], base: int) -> tuple:
+def _difference(low: tuple, high: tuple, base: int) -> tuple:
     """The nonzero entries of value `high`'s signed child multiplicities
-    minus value `low`'s, read from their label tuples, as (jump, child value
-    minus `base`, multiplicity) triples in jump and value order."""
-    out = []
-    for jump in sorted(low.keys() | high.keys()):
-        a, b = low.get(jump, ()), high.get(jump, ())
-        if len(a) == len(b) and all(y[: len(x)] == x for x, y in zip(a, b)):
-            # each of low's tuples is a prefix of high's: only the appended
-            # labels differ
-            terms = [(lab, 1) for x, y in zip(a, b) for lab in y[len(x) :]]
-        else:
-            terms = [(lab, 1) for y in b for lab in y]
-            terms += [(lab, -1) for x in a for lab in x]
-        signed: dict[int, int] = {}
-        for lab, sign in terms:
-            signed[lab.value] = signed.get(lab.value, 0) + (-sign if lab.marked else sign)
-        out += [(jump, value - base, d) for value, d in sorted(signed.items()) if d]
-    return tuple(out)
+    minus value `low`'s, as (jump, child value minus `base`, multiplicity)
+    triples in jump and value order.  `low` and `high` are the two values'
+    productions, paired in rule order; two arms with the same jump skip
+    their shared front labels: the whole shorter tuple when it is the
+    other's front, else those before the first pair that are not one object."""
+    signed: dict[tuple[int, int], int] = {}
+    for x, y in itertools.zip_longest(low, high):
+        a = () if x is None else x.labels
+        b = () if y is None else y.labels
+        shared = 0
+        if a and b and x.jump == y.jump:
+            shared = min(len(a), len(b))
+            if a[:shared] != b[:shared]:
+                shared = next(itertools.compress(itertools.count(), map(is_not, a, b)))
+        for prod, labels, sign in ((x, a[shared:], -1), (y, b[shared:], 1)):
+            for lab in labels:
+                key = prod.jump, lab.value
+                signed[key] = signed.get(key, 0) + (-sign if lab.marked else sign)
+    return tuple((jump, value - base, d) for (jump, value), d in sorted(signed.items()) if d)
 
 
 def expand(rule: RuleSpec, levels: int) -> LevelCensus:
@@ -209,24 +204,24 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
     below, each added as one slice.  Every built-in rule's runs are one
     group each.
 
-    Offspring are never stored: each reached value keeps only the rule's
-    own label tuples, grouped by jump, and a difference is read from them.
-    Where the lower value's tuples are prefixes of the higher value's, as
-    the avoid rule's and the plain Catalan rule's are, only the labels the
-    higher value appends are read; otherwise both values' labels are
-    counted in full.  `produce` is called once for each value reached with
-    a nonzero net count, and for no other value, in the order of the values
-    within each level.  Every contribution to a level comes from lower
-    levels, so a level is final when the sweep reaches it: its list, cut
-    after its largest nonzero value, becomes the level's census row (see
-    `LevelCensus`), and its bucket is dropped.
+    Offspring are never stored: each reached value keeps its productions
+    as `produce` returned them, and `_difference` counts only the labels
+    past the front two arms share.  Every built-in rule's consecutive
+    values share all but O(1) labels of each arm, the avoid rule's through
+    grown tuples and the other three's through one label cache.  `produce`
+    is called once for each value reached with a nonzero net count, and for
+    no other value, in the order of the values within each level.  Every
+    contribution to a level comes from lower levels, so a level is final
+    when the sweep reaches it: its list, cut after its largest nonzero
+    value, becomes the level's census row (see `LevelCensus`), and its
+    bucket is dropped.
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
     # the counts of levels the sweep has not reached, by level and value
     axiom = rule.axiom
     pending = {0: [0] * axiom.value + [-1 if axiom.marked else 1]}
-    arms: dict[int | None, dict[int, tuple]] = {None: {}}
+    produced: dict[int | None, tuple[Production, ...]] = {None: ()}
     differences: dict[tuple[int | None, int], tuple] = {}
     # steps[v]: the difference of the pair (v - 1, v), None until needed; one
     # equal to steps[v - 1] is stored as that object, so `groupby` compares
@@ -237,9 +232,9 @@ def expand(rule: RuleSpec, levels: int) -> LevelCensus:
     def difference(low: int | None, high: int) -> tuple:
         diff = differences.get((low, high))
         if diff is None:
-            if high not in arms:
-                arms[high] = _arms(rule.produce(high))
-            diff = differences[low, high] = _difference(arms[low], arms[high], high)
+            if high not in produced:
+                produced[high] = rule.produce(high)
+            diff = differences[low, high] = _difference(produced[low], produced[high], high)
         return diff
 
     def spread(lv: int, diff: tuple, start: int, sums: list[int]) -> None:
@@ -315,9 +310,10 @@ def expand_exhaustive(
 
 def catalan_plain_rule() -> RuleSpec:
     """Axiom (2); a node (k) makes (2)(3)...(k)(k+1) one level down."""
+    label = functools.cache(Label)  # consecutive values share front labels
 
     def produce(k: int) -> tuple[Production, ...]:
-        labels = tuple(Label(v) for v in range(2, k + 1)) + (Label(k + 1),)
+        labels = tuple(map(label, range(2, k + 1))) + (label(k + 1),)
         return (Production(1, labels),)
 
     return RuleSpec("catalan-plain", Label(2), produce)
@@ -326,13 +322,11 @@ def catalan_plain_rule() -> RuleSpec:
 def catalan_marked_rule() -> RuleSpec:
     """The marked rewriting of the Catalan rule: (2)(3)...(k)(k+1)(k) plus
     a marked (k) that cancels the duplicate."""
+    label = functools.cache(Label)
 
     def produce(k: int) -> tuple[Production, ...]:
-        grown = tuple(Label(v) for v in range(2, k + 1)) + (Label(k + 1), Label(k))
-        return (
-            Production(1, grown),
-            Production(1, (Label(k, marked=True),)),
-        )
+        grown = tuple(map(label, range(2, k + 1))) + (label(k + 1), label(k))
+        return (Production(1, grown), Production(1, (label(k, marked=True),)))
 
     return RuleSpec("catalan-marked", Label(2), produce)
 
@@ -340,10 +334,11 @@ def catalan_marked_rule() -> RuleSpec:
 def motzkin_jump_rule() -> RuleSpec:
     """Axiom (1); (k) makes (1)...(k-1)(k+1) one level down and a copy of
     itself two levels down."""
+    label = functools.cache(Label)
 
     def produce(k: int) -> tuple[Production, ...]:
-        near = tuple(Label(v) for v in range(1, k)) + (Label(k + 1),)
-        return (Production(1, near), Production(2, (Label(k),)))
+        near = tuple(map(label, range(1, k))) + (label(k + 1),)
+        return (Production(1, near), Production(2, (label(k),)))
 
     return RuleSpec("motzkin-jump", Label(1), produce)
 

@@ -11,6 +11,7 @@ import pytest
 
 from wordavoid.cli import (
     J_CAP,
+    PATTERN_LENGTH_CAP,
     PIPE_CLOSED,
     RULE_LEVELS_CAP,
     SERIES_ORDER_CAP,
@@ -414,6 +415,15 @@ class TestAtTheCaps:
         assert [len(row) for row in rows] == [RULE_LEVELS_CAP + 1] * (RULE_LEVELS_CAP + 1)
         assert all(not any(row[n + 1 :]) and row[n] == 1 for n, row in enumerate(rows))
 
+    def test_pattern_length(self, capsys):
+        # a pattern longer than every word of the table is never met
+        rc, out, _ = run(capsys, "table", "1" * PATTERN_LENGTH_CAP, "3", "csv")
+        assert rc == 0
+        assert out == "1,1,1,1\n1,2,3,4\n1,3,6,10\n1,4,10,20\n"
+        rc, out, _ = run(capsys, "autocorr", "1" * PATTERN_LENGTH_CAP, "json")
+        assert rc == 0
+        assert json.loads(out)["c"] == [1] * PATTERN_LENGTH_CAP
+
     def test_construct(self, capsys):
         # the level guard is 8 for every j but 1
         rc, out, _ = run(capsys, "construct", "census", "--j", "2", "--level", "8", "csv")
@@ -440,6 +450,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["table", "2100", "5"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["autocorr", "table", "triangle"])
+    def test_pattern_length_cap(self, capsys, command):
+        order = [] if command == "autocorr" else ["5"]
+        with pytest.raises(SystemExit) as info:
+            main([command, "1" * (PATTERN_LENGTH_CAP + 1), *order])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: wordavoid")
+        assert f"pattern must be at most {PATTERN_LENGTH_CAP} letters" in captured.err
 
     def test_order_cap(self, capsys):
         rc, out, err = run(capsys, "table", "11100", str(TABLE_ORDER_CAP + 1))

@@ -85,6 +85,20 @@ class TestLoading:
         # one over-cap command per cap
         assert command_loads(*argv) == {"cli"}
 
+    def test_pattern_cap_refused_by_the_parser_alone(self):
+        code = (
+            "import contextlib, io\n"
+            "from wordavoid.cli import PATTERN_LENGTH_CAP, main\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        main(['table', '1' * (PATTERN_LENGTH_CAP + 1), '5'])\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 2\n"
+            "    else:\n"
+            "        raise AssertionError('the over-cap pattern was taken')"
+        )
+        assert loaded_by(code) == {"cli"}
+
 
 class TestExports:
     def test_names_unchanged(self):

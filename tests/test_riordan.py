@@ -231,6 +231,9 @@ class TestZSequence:
         # d = 1/(1-t), h = t: first column repeats, so Z = 1
         assert z_sequence(1 / u(1, -1, order=5), u(0, 1, order=5)) == u(1, order=4)
 
+    def test_family_z_at_order_zero(self):
+        assert family_z(1, 0) == USeries([2], order=0)
+
     def test_family_doubles_a(self):
         for j in (1, 2, 3):
             assert family_z(j, 8) == 2 * family_a(j, 8)
@@ -275,6 +278,10 @@ class TestVerifiers:
         assert verify_column_doubling(pascal) is False
         with pytest.raises(ValueError, match="two rows"):
             verify_column_doubling(RiordanTriangle([[1]]))
+
+    def test_column_doubling_reads_row_one(self):
+        # row 2 doubles, row 1 does not
+        assert verify_column_doubling(RiordanTriangle([[1], [3, 1], [4, 2, 1]])) is False
 
     def test_two_sided_verifier(self):
         assert verify_a_matrix(family_triangle(2, 9), 2) is True

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import operator
 import tracemalloc
 
 import pytest
@@ -314,6 +315,13 @@ class TestExhaustiveAgreement:
         with pytest.raises(ValueError):
             expand_exhaustive(avoid_rule(1), 8, max_nodes=10)
 
+    def test_node_budget_is_exact(self):
+        # levels 0..2 of the j = 1 avoid rule hold 1 + 3 + 13 nodes
+        census = expand_exhaustive(avoid_rule(1), 2, max_nodes=17)
+        assert census.rows == ((1,), (2, 1), (4, 2, 1))
+        with pytest.raises(ValueError, match="^expansion exceeds 16 nodes$"):
+            expand_exhaustive(avoid_rule(1), 2, max_nodes=16)
+
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
             expand(avoid_rule(1), -1)
@@ -434,12 +442,64 @@ class TestRowSweep:
         expand(make(), 120)
         assert seen == calls
 
+    def test_arms_that_change_jump_between_values(self):
+        # even values have one jump-one arm, odd ones a jump-two arm before
+        # it, so the arms paired in rule order lack a mate or differ in jump,
+        # though value k's first arm has the same labels as value k + 1's
+        def produce(k):
+            near = Production(1, (Label(0), Label(k + 1)))
+            return (near,) if k % 2 == 0 else (Production(2, (Label(0), Label(k))), near)
+
+        rule = RuleSpec("swapped", Label(0), produce)
+        assert expand(rule, 40) == naive_census(rule, 40)
+        assert expand(rule, 8) == expand_exhaustive(rule, 8)
+
+
+class TestSharedLabels:
+    """The three small rules draw their labels from one cache per rule, so
+    consecutive values share their front labels as objects."""
+
+    @pytest.mark.parametrize("make, shared", [(catalan_plain_rule, 0),
+                                              (catalan_marked_rule, 0),
+                                              (motzkin_jump_rule, 1)],
+                             ids=["catalan-plain", "catalan-marked", "motzkin"])
+    def test_consecutive_values_share_their_front(self, make, shared):
+        # the first arm's first k - shared labels
+        rule = make()
+        for k in range(1, 40):
+            low, high = rule.produce(k)[0].labels, rule.produce(k + 1)[0].labels
+            front = k - shared
+            assert low[:front] == high[:front]
+            assert all(map(operator.is_, low[:front], high[:front]))
+
+    @pytest.mark.parametrize("make", [catalan_plain_rule, catalan_marked_rule,
+                                      motzkin_jump_rule],
+                             ids=["catalan-plain", "catalan-marked", "motzkin"])
+    def test_expand_builds_linearly_many_labels(self, monkeypatch, make):
+        built = 0
+        check = Label.__post_init__
+
+        def counting(label):
+            nonlocal built
+            built += 1
+            check(label)
+
+        monkeypatch.setattr(Label, "__post_init__", counting)
+        levels = 120
+        assert expand(make(), levels).max_level == levels
+        assert built <= 2 * (levels + 3)
+
 
 class TestLevelCensus:
     def test_zero_entries_dropped(self):
         census = LevelCensus(1, {(0, 0): 1, (1, 0): 0, (1, 1): 2})
         assert census.counts == {(0, 0): 1, (1, 1): 2}
         assert census.count(1, 0) == 0
+
+    def test_empty_census(self):
+        census = LevelCensus(2, {})
+        assert census.max_value() == 0
+        assert census.matrix() == [[0], [0], [0]]
 
     def test_levels_outside_range_rejected(self):
         for level in (-1, 2):

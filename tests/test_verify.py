@@ -30,6 +30,12 @@ class TestRunChecks:
             (r.name, r.detail) for r in results if not r.passed
         ]
 
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_battery_at_level_zero(self, j):
+        results = run_checks(j, 0)
+        assert [r.name for r in results] == EXPECTED_CHECKS
+        assert all(r.passed for r in results)
+
     def test_passing_results_carry_no_detail(self):
         for r in run_checks(1, 4):
             assert r.detail == ""
@@ -126,3 +132,15 @@ class TestEveryCheckCanFail:
         result = {r.name: r for r in run_checks(2, 4)}["z-sequence"]
         assert not result.passed
         assert result.detail == "d rebuilt from Z agrees: True; Z = 2A: False"
+
+    @pytest.mark.parametrize("name, mutant, detail", [
+        ("a_sequence_from_h", _result_made(_bump_series),
+         "routes agree: False; 0 row violations"),
+        ("verify_a_sequence", _result_made(lambda bad: bad + [(1, 1, 0, 0)]),
+         "routes agree: True; 1 row violations"),
+    ], ids=["routes", "rows"])
+    def test_a_sequence_detail(self, monkeypatch, name, mutant, detail):
+        monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
+        result = {r.name: r for r in run_checks(2, 4)}["a-sequence"]
+        assert not result.passed
+        assert result.detail == detail
