@@ -4,9 +4,10 @@ Subcommands expose the avoider table, the two triangles, the family's
 series, rule censuses, the path construction, and the consistency battery.
 This module renders every output except a series' text form, which
 `USeries.text()` gives: the library returns checked integers and tree
-nodes, and the csv and json forms of a node are defined here.  It loads no
-wordavoid module itself: each command imports the modules it runs, so
-`autocorr` never loads the construction or the battery.
+nodes, and the csv and json forms of a node are defined here.  Every
+list-shaped output, a json array or one line per item, comes from `_lines`.
+The module loads no wordavoid module itself: each command imports the
+modules it runs, so `autocorr` never loads the construction or the battery.
 Each subcommand declares its size caps where the parser declares it, and
 `main` checks them all before the command loads a module; the parser itself
 refuses a pattern longer than its cap.
@@ -75,26 +76,30 @@ def _json(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
+def _lines(fmt: str, items, as_json=_json, as_line=str):
+    """A list-shaped output a piece at a time, for `sys.stdout.writelines`:
+    for `json` one compact array of the items' `as_json` forms, else one
+    `as_line(item)` line per item.  No output's serialized form is held
+    whole, so a level of nodes goes out one node at a time."""
+    if fmt != "json":
+        for item in items:
+            yield as_line(item) + "\n"
+        return
+    yield "["
+    sep = ""
+    for item in items:
+        yield sep + as_json(item)
+        sep = ","
+    yield "]\n"
+
+
 def render_matrix(rows, fmt: str) -> str:
     """Integer rows as text: `csv` lines, one compact `json` array, or
     right-aligned `text` columns.  Every format ends in a newline."""
-    if fmt == "csv":
-        return "".join(",".join(map(str, row)) + "\n" for row in rows)
-    if fmt == "json":
-        return _json(rows) + "\n"
-    width = max((len(str(c)) for row in rows for c in row), default=1)
-    return "".join(" ".join(str(c).rjust(width) for c in row) + "\n" for row in rows)
-
-
-def _emit_series(series, fmt: str) -> None:
     if fmt == "text":
-        print(series.text())
-        return
-    coeffs = series.integer_coeffs()
-    if fmt == "csv":
-        print(",".join(map(str, coeffs)))
-    else:
-        print(_json(coeffs))
+        width = max((len(str(c)) for row in rows for c in row), default=1)
+        return "".join(" ".join(str(c).rjust(width) for c in row) + "\n" for row in rows)
+    return "".join(_lines(fmt, rows, as_line=lambda row: ",".join(map(str, row))))
 
 
 def _poly_text(terms: list[tuple[int, int]]) -> str:
@@ -145,8 +150,13 @@ def cmd_triangle(args) -> int:
 def cmd_series(args) -> int:
     from . import riordan
 
-    maker = getattr(riordan, f"family_{args.kind}")
-    _emit_series(maker(args.j, args.order), args.format)
+    series = getattr(riordan, f"family_{args.kind}")(args.j, args.order)
+    if args.format == "text":
+        print(series.text())
+    elif args.format == "csv":
+        print(",".join(map(str, series.integer_coeffs())))
+    else:
+        sys.stdout.writelines(_lines("json", series.integer_coeffs()))
     return 0
 
 
@@ -193,24 +203,11 @@ def cmd_construct(args) -> int:
 
     fmt = args.format
     if args.what == "survivors":
-        words = sorted(paths.survivors(args.j, args.level))
-        if fmt == "json":
-            print(_json(words))
-        else:
-            sys.stdout.write("".join(w + "\n" for w in words))
+        sys.stdout.writelines(_lines(fmt, sorted(paths.survivors(args.j, args.level))))
     elif args.what == "nodes":
-        # one node at a time: the level's serialized form is never held whole
         nodes = paths.build_tree(args.j, args.level)[args.level]
-        write = sys.stdout.write
-        if fmt == "json":
-            write("[")
-            for i, node in enumerate(nodes):
-                write("," + _node_json(node) if i else _node_json(node))
-            write("]\n")
-        else:
-            line = _node_csv if fmt == "csv" else _node_json
-            for node in nodes:
-                write(line(node) + "\n")
+        line = _node_csv if fmt == "csv" else _node_json
+        sys.stdout.writelines(_lines(fmt, nodes, _node_json, line))
     else:
         census = paths.signed_census(paths.build_tree(args.j, args.level))
         sys.stdout.write(render_matrix(census.matrix(), fmt))
@@ -221,13 +218,10 @@ def cmd_verify(args) -> int:
     from . import verify
 
     results = verify.run_checks(args.j, args.levels, args.order)
-    if args.format == "json":
-        print(_json([{"name": r.name, "passed": r.passed, "detail": r.detail}
-                     for r in results]))
-    else:
-        for r in results:
-            line = f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}"
-            print(line)
+    sys.stdout.writelines(_lines(
+        args.format, results,
+        lambda r: _json({"name": r.name, "passed": r.passed, "detail": r.detail}),
+        lambda r: f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}"))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -194,7 +194,7 @@ class USeries:
     def truncate(self, order: int) -> "USeries":
         if order > self.order:
             raise ValueError("cannot extend a series by truncation")
-        return USeries(self.coeffs[: order + 1])
+        return USeries(self.coeffs[: order + 1], order)
 
     def shift_up(self) -> "USeries":
         """Multiply by t.  The result is exact one order higher."""

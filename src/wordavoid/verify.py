@@ -57,8 +57,11 @@ def run_checks(j: int, levels: int, triangle_order: int = 12) -> list[CheckResul
     `triangle_order` bounds the series and triangle checks.
     """
     pattern = family_pattern(j)
-    if levels < 0 or triangle_order < max(levels, j + 1):
-        raise ValueError("need triangle_order >= levels and > j")
+    if levels < 0:
+        raise ValueError("levels must be non-negative")
+    if triangle_order < max(levels, j + 1):
+        raise ValueError(f"need triangle_order >= levels and > j, got triangle_order="
+                         f"{triangle_order}, levels={levels}, j={j}")
     # built first so that its level guard refuses an oversized tree before
     # any check does work
     tree = build_tree(j, levels)

@@ -437,6 +437,14 @@ class TestUsageErrors:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--j", "1", "--levels", "-1"], "levels must be non-negative"),
+        (["--j", "12", "--levels", "2"],
+         "need triangle_order >= levels and > j, got triangle_order=12, levels=2, j=12"),
+    ], ids=["negative-levels", "order-not-above-j"])
+    def test_verify_argument_messages(self, capsys, argv, message):
+        assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
     def test_triangle_needs_exactly_one_source(self, capsys):
         assert run(capsys, "triangle", "5")[0] == 2
         assert run(capsys, "triangle", "11100", "5", "--j", "2")[0] == 2

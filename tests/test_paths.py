@@ -235,6 +235,11 @@ class TestInverseMap:
         with pytest.raises(NotInImage):
             zero1_inverse(path(""))
 
+    @pytest.mark.parametrize("steps", ["001", "101"])
+    def test_rejects_off_axis_path_whose_walk_back_meets_an_axis_fall(self, steps):
+        with pytest.raises(NotInImage, match="^image paths end on the axis$"):
+            zero1_inverse(path(steps))
+
     def test_rejects_axis_path_outside_image(self):
         # ends on the axis but the only usable cut leads to a falling
         # final step, which no forward image has

@@ -233,6 +233,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             u(1, 2).truncate(5)
 
+    @pytest.mark.parametrize("order", [-1, -2])
+    def test_truncate_to_negative_order(self, order):
+        with pytest.raises(ValueError, match="^order must be non-negative$"):
+            u(1, 2, 3).truncate(order)
+
     def test_compose_needs_zero_inner(self):
         with pytest.raises(ValueError):
             u(1, 1).compose(u(1, 1))

@@ -46,6 +46,21 @@ class TestRunChecks:
         with pytest.raises(ValueError):
             run_checks(1, 5, triangle_order=4)
 
+    @pytest.mark.parametrize("j,levels,order", [(3, 2, 4), (1, 5, 5)])
+    def test_smallest_admitted_order(self, j, levels, order):
+        results = run_checks(j, levels, order)
+        assert [r.name for r in results] == EXPECTED_CHECKS
+        assert all(r.passed for r in results)
+
+    def test_order_one_short_is_refused(self):
+        with pytest.raises(ValueError):
+            run_checks(3, 2, 3)
+
+    def test_default_order_bounds_j(self):
+        assert all(r.passed for r in run_checks(11, 1))
+        with pytest.raises(ValueError):
+            run_checks(12, 1)
+
     def test_tree_guard_fires_before_any_check(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a series check ran before the tree guard")
