@@ -30,8 +30,8 @@ FORMATS = ("csv", "json", "text")
 # `_build_parser` and checked in `main` before the command loads a module, so
 # an over-cap command does no work.  The slowest call at each cap, min of 3 in
 # process (Python 3.11, 2-CPU Linux VM): avoider_table at order 40 about
-# 0.017 s for a long self-overlapping pattern such as (10)^20, whose divisor
-# has the most terms, and 0.006 s for a 7-letter one; family_z at series
+# 0.006 s for a long self-overlapping pattern such as (10)^20, whose divisor
+# has the most terms, and 0.0014 s for a 7-letter one; family_z at series
 # order 100 about 0.2 s, family_a at most 0.07 s for j up to 99; run_checks
 # at verify order 80 with two levels about 0.37 s for any j.  Expand of the
 # avoid rule at 300 levels takes 0.021-0.023 s for j = 1..3, the best of 8
@@ -50,7 +50,7 @@ FORMATS = ("csv", "json", "text")
 # argparse parses, so before any command module loads: autocorrelation and
 # correlation_terms slice or count every tail, so their cost is quadratic.
 # For 1^h, the worst of four shapes measured, avoider_table at order 40 takes
-# 0.066 s at h = 10,000 and 0.24 s at h = 20,000 (min of 3), and autocorr
+# 0.055 s at h = 10,000 and 0.21 s at h = 20,000 (min of 3), and autocorr
 # the same.
 TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100

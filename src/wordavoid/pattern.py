@@ -102,17 +102,24 @@ def correlation_polynomial(p: "Pattern | str", order: int) -> BSeries:
 def avoider_table(p: "Pattern | str", order: int) -> BSeries:
     """Entry (n, k): words with n ones and k zeros avoiding the pattern.
 
-    Computed as C / ((1 - x - y) C + x^a y^b) with C the correlation
-    polynomial and (a, b) the pattern's letter counts.  Exact on the whole
-    grid for any order: terms that fall off the grid cannot influence the
-    retained entries.  The divisor has t <= 3|C| + 1 nonzero terms, and the
-    division visits only those, so the table costs O(order^2 * t).
+    Computed as C / D with D = (1 - x - y) C + x^a y^b, C the correlation
+    polynomial and (a, b) the pattern's letter counts.  Only C's terms on
+    the grid are kept: a term past it reaches only cells of D past it, so
+    the retained entries are exact for any order.  D is summed term by term
+    from those, adding rather than overwriting, since neighbouring terms
+    cancel (for 1^h only 1 - (1 + x + ... + x^(h-1)) y is left).  So the
+    table builds three grids, C, D and the quotient, and no product.  D has
+    t <= 3|C| + 1 nonzero terms, and the division visits only those, so the
+    table costs O(order^2 * t) after the O(len(p)^2) autocorrelation.
     """
     p = as_pattern(p)
-    c = correlation_polynomial(p, order)
-    linear = BSeries.from_terms({(0, 0): 1, (1, 0): -1, (0, 1): -1}, order)
-    denom = linear * c + BSeries.from_terms({(p.ones, p.zeros): 1}, order)
-    return c / denom
+    terms = [(a, b) for a, b in correlation_terms(p) if a <= order and b <= order]
+    denom = {(p.ones, p.zeros): 1}
+    for a, b in terms:
+        for cell, sign in (((a, b), 1), ((a + 1, b), -1), ((a, b + 1), -1)):
+            denom[cell] = denom.get(cell, 0) + sign
+    c = BSeries.from_terms(dict.fromkeys(terms, 1), order)
+    return c / BSeries.from_terms(denom, order)
 
 
 # -- oracles ----------------------------------------------------------------

@@ -368,17 +368,6 @@ class BSeries:
             return self.grid[n][k]
         return 0
 
-    def __add__(self, other):
-        if not isinstance(other, BSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return BSeries(
-            [
-                [self.grid[i][j] + other.grid[i][j] for j in range(n + 1)]
-                for i in range(n + 1)
-            ]
-        )
-
     def __mul__(self, other):
         """The product on the common grid 0..n, n the smaller order.  Each
         nonzero left cell meets only the right operand's t nonzero terms,

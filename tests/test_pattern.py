@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wordavoid.pattern import (
@@ -112,6 +112,40 @@ class TestAvoiderTable:
             p = Pattern(bits)
             assert avoider_table(p, 6) == avoider_table(p.reverse(), 6)
 
+    def test_builds_three_grids_and_no_product(self, monkeypatch):
+        # C and the divisor are each built once from their terms, then divided
+        built = []
+        init = BSeries.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def no_product(self, other):
+            raise AssertionError("the table takes no BSeries product")
+
+        monkeypatch.setattr(BSeries, "__init__", counted)
+        monkeypatch.setattr(BSeries, "__mul__", no_product)
+        table = avoider_table("1010110", 8)
+        assert len(built) == 3
+        assert built[-1] is table
+        assert table.entry(8, 8) == count_by_automaton("1010110", 8, 8)
+
+    @given(st.text(alphabet="01", min_size=1, max_size=3), st.integers(2, 8),
+           st.integers(0, 6))
+    @example("10", 10, 4)  # (10)^10: terms (i, i) for i up to 9
+    @example("1", 12, 5)  # 1^12: terms (i, 0) for i up to 11
+    @settings(max_examples=40, deadline=None)
+    def test_correlation_terms_past_the_grid(self, unit, copies, order):
+        # a periodic pattern overlaps itself at every multiple of its period,
+        # so some of its correlation terms fall past a small grid
+        bits = unit * copies
+        assume(any(a > order or b > order for a, b in correlation_terms(bits)))
+        table = avoider_table(bits, order)
+        for n in range(order + 1):
+            for k in range(order + 1):
+                assert table.entry(n, k) == count_by_automaton(bits, n, k), (bits, n, k)
+
 
 class TestEnumeration:
     def test_small_counts(self):
@@ -138,6 +172,15 @@ class TestEnumeration:
             count_by_enumeration("110", half, half)
         with pytest.raises(TooLarge):
             avoiding_words("110", half, half)
+
+    def test_size_guard_at_its_edge(self):
+        # one arrangement each, so the longest admitted length is cheap
+        assert count_by_enumeration("1", 0, 22) == 1
+        assert avoiding_words("1", 0, 22) == {"0" * 22}
+        with pytest.raises(TooLarge, match="length 23"):
+            count_by_enumeration("1", 0, 23)
+        with pytest.raises(TooLarge, match="length 23"):
+            avoiding_words("1", 0, 23)
 
 
 class TestAutomaton:

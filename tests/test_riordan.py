@@ -112,6 +112,11 @@ class TestFromDH:
         with pytest.raises(NotProper):
             from_dh(u(1), u(1))
 
+    def test_order_one_h_needs_its_t_term(self):
+        # h of order 1 carries a t term, so h'(0) = 0 is refused
+        with pytest.raises(NotProper):
+            from_dh(u(1, 1), u(0, 0))
+
     def test_fractional_entries_rejected(self):
         with pytest.raises(NonIntegerCoefficient):
             from_dh(1 / u(2, -1, order=3), u(0, 1, order=3))
@@ -218,6 +223,13 @@ class TestASequence:
         with pytest.raises(ValueError):
             verify_a_sequence(family_triangle(2, 9), family_a(2, 3))
 
+    def test_order_guard_at_its_edge(self):
+        # A must be known through index order - 1, and no further is needed
+        r = family_triangle(2, 6)
+        assert verify_a_sequence(r, family_a(2, 5)) == []
+        with pytest.raises(ValueError, match="A-sequence order too small"):
+            verify_a_sequence(r, family_a(2, 4))
+
     def test_rational_expected_value_reported_exactly(self):
         pascal = RiordanTriangle([[1], [1, 1], [1, 2, 1]])
         half = Fraction(1, 2)
@@ -269,6 +281,13 @@ class TestVerifiers:
         pascal = from_dh(geo, u(0, 1, order=5) * geo)
         assert verify_recurrence(pascal, 1) != []
 
+    def test_recurrence_reports_each_broken_entry(self):
+        # a bumped entry breaks its own recurrence and the two that read it
+        bumped = [list(row) for row in family_triangle(2, 6).rows]
+        bumped[4][2] += 1
+        assert verify_recurrence(RiordanTriangle(bumped), 2) == [
+            (4, 1, 29, 30), (4, 2, 14, 13), (5, 3, 18, 19)]
+
     def test_column_doubling(self):
         assert verify_column_doubling(family_triangle(2, 8)) is True
         _, upper = triangles_from_table(avoider_table("11100", 7))
@@ -282,6 +301,10 @@ class TestVerifiers:
     def test_column_doubling_reads_row_one(self):
         # row 2 doubles, row 1 does not
         assert verify_column_doubling(RiordanTriangle([[1], [3, 1], [4, 2, 1]])) is False
+
+    def test_column_doubling_on_two_rows(self):
+        # the fewest rows it takes; one row is refused (test_column_doubling)
+        assert verify_column_doubling(RiordanTriangle([[2], [2, 1]])) is True
 
     def test_two_sided_verifier(self):
         assert verify_a_matrix(family_triangle(2, 9), 2) is True
