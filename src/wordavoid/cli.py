@@ -32,26 +32,29 @@ FORMATS = ("csv", "json", "text")
 # process (Python 3.11, 2-CPU Linux VM): avoider_table at order 40 about
 # 0.006 s for a long self-overlapping pattern such as (10)^20, whose divisor
 # has the most terms, and 0.0014 s for a 7-letter one; family_z at series
-# order 100 about 0.2 s, family_a at most 0.07 s for j up to 99; run_checks
-# at verify order 80 with two levels about 0.37 s for any j.  Expand of the
+# order 100 at most 0.085 s (j = 3), family_a at most 0.03 s for j up to 99;
+# run_checks at verify order 80 with two levels at most 0.10 s for any j
+# (j = 1, 2, 3, 5 and 79 measured).  Expand of the
 # avoid rule at 300 levels takes 0.021-0.023 s for j = 1..3, the best of 8
 # rounds of min of 5 (the rounds' median 0.026-0.029 s), and the whole
 # command `rule avoid 300 --j 3 csv` 0.16 s, the median of 8 fresh
 # processes (0.14-0.17 s).  A rule census prints (L+1)^2 big integers, which
 # also bounds its cap.  The family's j goes no higher than the rule cap: a
 # marked jump of j + 1 levels beyond the last one never fires.  At j = 300,
-# family_a at order 100 takes about 0.11 s, expand of the avoid rule at 300
+# family_a at order 100 takes about 0.044 s, expand of the avoid rule at 300
 # levels (j = 299) 0.017 s (best of the same 8 rounds; median 0.026 s) and
 # build_tree to level 8 0.15 s.  The other rules at 300 levels, best of 8
 # rounds of min of 5 (the rounds' median): Motzkin 0.037 s (0.039 s), marked
 # Catalan 0.020 s (0.021 s), plain Catalan 0.017 s (0.018 s); `rule motzkin2
 # 300 csv` 0.15 s and `rule catalan-marked 300 csv` 0.13 s, the median of 8
 # fresh processes.  The pattern's length is checked by `_pattern_arg` while
-# argparse parses, so before any command module loads: autocorrelation and
-# correlation_terms slice or count every tail, so their cost is quadratic.
-# For 1^h, the worst of four shapes measured, avoider_table at order 40 takes
-# 0.055 s at h = 10,000 and 0.21 s at h = 20,000 (min of 3), and autocorr
-# the same.
+# argparse parses, so before any command module loads: autocorrelation
+# compares every prefix with its suffix, so its cost is quadratic, though in
+# C-level slice compares; correlation_terms keeps a running count of the
+# tail's ones and is linear.  The four shapes measured, 1^h, 0^h, (10)^(h/2)
+# and (110)^(h/3), cost alike: avoider_table at order 40 takes 0.009-0.013 s
+# at h = 10,000 and 0.019-0.028 s at h = 20,000 (min of 7), and the autocorr
+# command 0.012-0.013 s at h = 10,000.
 TABLE_ORDER_CAP = 40
 SERIES_ORDER_CAP = 100
 VERIFY_ORDER_CAP = 80

@@ -80,16 +80,14 @@ def correlation_terms(p: "Pattern | str") -> list[tuple[int, int]]:
     """(ones, zeros) of each pattern tail marked by the autocorrelation.
 
     Shift i with c_i = 1 contributes the tail of length i; shift 0
-    contributes the empty tail (0, 0).  Ordered by increasing shift.
+    contributes the empty tail (0, 0).  Ordered by increasing shift.  The
+    tail's ones are a running count, one letter more per shift, so the
+    terms cost O(len(p)) after the autocorrelation.
     """
     bits = as_pattern(p).bits
-    h = len(bits)
-    terms = []
-    for i, c in enumerate(autocorrelation(bits)):
-        if c:
-            tail = bits[h - i :]
-            terms.append((tail.count("1"), tail.count("0")))
-    return terms
+    ones = itertools.accumulate(map("1".__eq__, reversed(bits)), initial=0)
+    return [(k, i - k)
+            for i, (c, k) in enumerate(zip(autocorrelation(bits), ones)) if c]
 
 
 def correlation_polynomial(p: "Pattern | str", order: int) -> BSeries:

@@ -58,16 +58,25 @@ class RiordanTriangle:
 def from_dh(d: USeries, h: USeries) -> RiordanTriangle:
     """Triangle entry (n, k) = [t^n] d * h^k, to the smaller of the two
     series' orders.  Entries must be integers.  h'(0) is checked only when
-    h carries a t term: the single row of an order-0 triangle is d(0)."""
+    h carries a t term: the single row of an order-0 triangle is d(0).
+
+    Column k + 1 is column k times h, as a plain coefficient list: column k
+    is zero below t^k and h below t^1, so only t^(k+1)..t^order are summed,
+    (order-k)(order-k+1)/2 coefficient products.  The triangle takes
+    n(n+1)(n+2)/6 products at order n and no series product.
+    """
     if d.coeffs[0] == 0 or h.coeffs[0] != 0 or (h.order > 0 and h.coeffs[1] == 0):
         raise NotProper("need d(0) != 0, h(0) = 0, h'(0) != 0")
     order = min(d.order, h.order)
+    rh = h.coeffs[order::-1]
     rows = [[] for _ in range(order + 1)]
-    col = d
+    col = list(d.coeffs[: order + 1])
     for k in range(order + 1):
         for n in range(k, order + 1):
-            rows[n].append(col.coeffs[n])
-        col = col * h
+            rows[n].append(col[n])
+        # rh[order - n + i] is h[n - i] for the col[i], i = k..n-1
+        col[k + 1 :] = [sum(map(mul, col[k:n], rh[order - n + k : order]))
+                        for n in range(k + 1, order + 1)]
     return RiordanTriangle(rows)
 
 

@@ -71,11 +71,19 @@ def integer_row(values: Iterable[Rational], where: Callable[[int], str]) -> list
 
 
 def _div(a: Rational, b: Rational) -> Rational:
-    """Exact a / b in canonical form; dividing by a unit stays in int."""
+    """Exact a / b in canonical form.  A unit divisor returns a or -a, and
+    two ints that divide exactly give their quotient by one `divmod`, about
+    a tenth of the cost of a Fraction quotient, so sqrt's halving and
+    revert's division by n stay in int.  Every other quotient goes through
+    Fraction; b = 0 raises ZeroDivisionError."""
     if b == 1:
         return _frac(a)
     if b == -1:
         return _frac(-a)
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
     return _frac(Fraction(a) / b)
 
 
@@ -223,14 +231,26 @@ class USeries:
         return USeries(out)
 
     def compose(self, inner: "USeries") -> "USeries":
-        """self(inner(t)); requires inner(0) = 0 so truncations are exact."""
+        """self(inner(t)) to the smaller order n; requires inner(0) = 0 so
+        truncations are exact.
+
+        Truncated Horner: the partial sum s_i + inner * (s_(i+1) + ...) is
+        multiplied by inner^i on its way out, so it is needed only through
+        t^(n-i).  Step i takes (n-i)(n-i+1)/2 coefficient products, and the
+        whole composition n(n+1)(n+2)/6, a third of what n full-order
+        products take.
+        """
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs inner(0) = 0")
         n = min(self.order, inner.order)
-        acc = USeries([self.coeffs[n]], order=n)
+        s, b = self.coeffs, inner.coeffs
+        acc = [s[n]]
         for i in range(n - 1, -1, -1):
-            acc = acc * inner + self.coeffs[i]
-        return acc
+            # racc[m - k + l - 1] is acc[k - l] for the b[l], l = 1..k
+            m, racc = len(acc), acc[::-1]
+            acc = [s[i]] + [sum(map(mul, b[1 : k + 1], racc[m - k :]))
+                            for k in range(1, m + 1)]
+        return USeries(acc)
 
     def revert(self) -> "USeries":
         """Compositional inverse: the g with self(g(t)) = t mod t^(order+1).
@@ -276,16 +296,23 @@ class USeries:
 
 def _eval_poly(table: Sequence[USeries], at: USeries) -> USeries:
     """The sum of table[i] * at^i over the rows that are not zero, to the
-    order of `at`.
+    order n of `at` (or of a shorter nonzero row); a longer row is cut.
 
-    Each power is taken by squaring in `__pow__`, so a polynomial with r
-    nonzero rows up to degree d costs O(r log d) products at that order; a
-    row longer than `at` is cut to its order by the product.
+    Each nonzero term c * t^m of a row adds c times at^i, shifted by m, as
+    one slice of n + 1 - m products.  Each power is taken by squaring in
+    `__pow__`, so a polynomial with r nonzero rows up to degree d costs
+    O(r log d) products at order n, plus n + 1 - m per term.
     """
-    return sum(
-        (row * at**i for i, row in enumerate(table) if any(row.coeffs)),
-        USeries([0], order=at.order),
-    )
+    rows = [(i, row.coeffs) for i, row in enumerate(table) if any(row.coeffs)]
+    n = min([at.order] + [len(cs) - 1 for _, cs in rows])
+    out: list[Rational] = [0] * (n + 1)
+    for i, cs in rows:
+        power = (at**i).coeffs
+        for m, c in enumerate(cs[: n + 1]):
+            if c:
+                # zip stops at out's end: power[k - m] for k = m..n
+                out[m:] = [x + c * y for x, y in zip(out[m:], power)]
+    return USeries(out)
 
 
 def solve_polynomial(

@@ -2,7 +2,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from wordavoid import riordan
 from wordavoid.cli import render_matrix
 from wordavoid.pattern import avoider_table
 from wordavoid.riordan import (
@@ -36,6 +39,32 @@ def golden_rows(name):
 
 def u(*coeffs, order=None):
     return USeries(coeffs, order=order)
+
+
+def triangle_by_products(d, h):
+    """The untruncated reference: column k + 1 is the full product col * h."""
+    order = min(d.order, h.order)
+    rows = [[] for _ in range(order + 1)]
+    col = d
+    for k in range(order + 1):
+        for n in range(k, order + 1):
+            rows[n].append(col.coeffs[n])
+        col = col * h
+    return RiordanTriangle(rows)
+
+
+def outcome(build, d, h):
+    """The rows `build` makes, or the message of its fractional entry."""
+    try:
+        return build(d, h).rows
+    except NonIntegerCoefficient as error:
+        return str(error)
+
+
+small_ints = st.integers(min_value=-3, max_value=3)
+small_rationals = st.one_of(
+    small_ints, st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
 
 
 class TestTriangleType:
@@ -120,6 +149,46 @@ class TestFromDH:
     def test_fractional_entries_rejected(self):
         with pytest.raises(NonIntegerCoefficient):
             from_dh(1 / u(2, -1, order=3), u(0, 1, order=3))
+
+    @given(st.data())
+    def test_matches_columns_built_by_products(self, data):
+        # unequal orders, orders 0 and 1, and fractional inputs, whose first
+        # fractional entry both builds must name alike
+        coeffs = data.draw(st.sampled_from([small_ints, small_rationals]))
+        dc = data.draw(st.lists(coeffs, min_size=1, max_size=8))
+        hc = data.draw(st.lists(coeffs, min_size=1, max_size=8))
+        assume(dc[0] != 0 and (len(hc) < 2 or hc[1] != 0))
+        d, h = USeries(dc), USeries([0] + hc[1:])
+        assert outcome(from_dh, d, h) == outcome(triangle_by_products, d, h)
+
+    @pytest.mark.parametrize("d, h", [
+        (u(3), u(0)), (u(3), u(0, 1, 1, order=5)), (u(2, 5), u(0, -1)),
+        (u(1, 1, order=6), u(0, 2)), (u(1, 2, 3), u(0, 1, 1, 1, 1, 1)),
+    ])
+    def test_matches_columns_at_small_and_unequal_orders(self, d, h):
+        assert from_dh(d, h) == triangle_by_products(d, h)
+
+    @pytest.mark.parametrize("n, products", [(0, 0), (1, 1), (5, 35),
+                                             (20, 1540), (40, 11480)])
+    def test_takes_only_the_products_it_keeps(self, monkeypatch, n, products):
+        # a work count: column k + 1 is summed only from t^(k+1) on, so the
+        # triangle takes n(n+1)(n+2)/6 coefficient products and no product
+        # of whole series
+        d, h = family_d(2, n), family_h(2, n)
+        want = triangle_by_products(d, h)
+        count = [0]
+
+        def counted(a, b):
+            count[0] += 1
+            return a * b
+
+        def refused(self, other):
+            raise AssertionError("a full series product was taken")
+
+        monkeypatch.setattr(riordan, "mul", counted)
+        monkeypatch.setattr(USeries, "__mul__", refused)
+        assert from_dh(d, h) == want
+        assert count[0] == products == n * (n + 1) * (n + 2) // 6
 
 
 class TestFamilyClosedForms:

@@ -357,6 +357,87 @@ class TestProperties:
         assert all(type(c) is int or c.denominator != 1 for c in got)
 
 
+exact_coeffs = st.one_of(
+    small_coeffs, st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+def exact_useries(min_order=0, max_order=7):
+    return st.lists(exact_coeffs, min_size=min_order + 1,
+                    max_size=max_order + 1).map(USeries)
+
+
+def same_exactly(a, b):
+    """Equal series whose coefficients also have the same types."""
+    return a == b and list(map(type, a.coeffs)) == list(map(type, b.coeffs))
+
+
+def horner_by_products(outer, inner):
+    """The untruncated reference: n full-order products of Horner's rule."""
+    n = min(outer.order, inner.order)
+    acc = USeries([outer.coeffs[n]], order=n)
+    for c in reversed(outer.coeffs[:n]):
+        acc = acc * inner + c
+    return acc
+
+
+class TestTruncatedKernels:
+    @given(exact_useries(), exact_useries())
+    @example(u(2), u(0, 1, order=6))  # order 0 composes to the constant
+    def test_compose_matches_full_horner(self, outer, inner):
+        inner = USeries((0,) + inner.coeffs[1:])
+        assert same_exactly(outer.compose(inner), horner_by_products(outer, inner))
+
+    @pytest.mark.parametrize("n, products", [(0, 0), (1, 1), (5, 35),
+                                             (20, 1540), (40, 11480)])
+    def test_compose_takes_truncated_horner_products(self, monkeypatch, n, products):
+        # a work count: step i of Horner runs to order n - i, so the whole
+        # composition takes n(n+1)(n+2)/6 coefficient products
+        outer, inner = u(*range(1, n + 2)), u(0, *range(2, n + 2))
+        want = horner_by_products(outer, inner)
+        count = [0]
+
+        def counted(a, b):
+            count[0] += 1
+            return a * b
+
+        def refused(self, other):
+            raise AssertionError("a full series product was taken")
+
+        monkeypatch.setattr(series, "mul", counted)
+        monkeypatch.setattr(USeries, "__mul__", refused)
+        assert outer.compose(inner) == want
+        assert count[0] == products == n * (n + 1) * (n + 2) // 6
+
+    @given(st.lists(st.one_of(exact_useries(max_order=9),
+                              st.integers(0, 9).map(lambda n: USeries([0], order=n))),
+                    max_size=5),
+           exact_useries(max_order=6))
+    @example([u(1, 2, 3, 4, 5, 6, 7, 8), u(0, order=9), u(Fraction(1, 2), 0, -1)],
+             u(1, 1, order=4))  # rows longer than at, a zero row, a fraction
+    def test_eval_poly_matches_summed_products(self, table, at):
+        want = sum((row * at**i for i, row in enumerate(table) if any(row.coeffs)),
+                   USeries([0], order=at.order))
+        assert same_exactly(series._eval_poly(table, at), want)
+
+    @given(st.integers(), st.integers().filter(bool))
+    @example(7, 2)
+    @example(-7, 2)
+    @example(7, -2)
+    @example(-8, -2)
+    @example(6, 3)
+    def test_div_of_ints_matches_fraction_quotient(self, a, b):
+        # a * b is exact, a is exact or not
+        for x in (a, a * b):
+            got, want = series._div(x, b), series._frac(Fraction(x) / b)
+            assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("a", [0, 5, -5, Fraction(1, 2)])
+    def test_div_by_zero_raises(self, a):
+        with pytest.raises(ZeroDivisionError):
+            series._div(a, 0)
+
+
 class TestBSeries:
     def test_pascal_grid(self):
         # oracle: binomial coefficients
