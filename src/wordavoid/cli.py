@@ -122,11 +122,10 @@ def cmd_autocorr(args) -> int:
 
     vector = pattern.autocorrelation(args.pattern)
     terms = pattern.correlation_terms(args.pattern)
-    rendered = f"c=({','.join(map(str, vector))}); C={_poly_text(terms)}"
     if args.format == "json":
         print(_json({"c": list(vector), "terms": [list(t) for t in terms]}))
     else:
-        print(rendered)
+        print(f"c=({','.join(map(str, vector))}); C={_poly_text(terms)}")
     return 0
 
 

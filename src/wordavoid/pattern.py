@@ -174,55 +174,48 @@ def _live_transitions(bits: str) -> list[list[tuple[int, int]]]:
     return [[(s, row[b]) for s, row in enumerate(rows) if row[b] < h] for b in (0, 1)]
 
 
-def _zero_sweep(on_zero: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int | None]:
-    """The live zero moves in the order a row sweeps them, and the loop state.
-
-    Every state has at most one live zero move.  Followed from any state,
-    they end within len(bits) moves at the state of the pattern's
-    leading-zero run, the one state a zero leaves in place, or at a state
-    whose zero completes a match (for 0^h there is no loop state).  So the
-    zero moves form trees, and sweeping states in decreasing distance from
-    where their moves end finishes each state's list before it is pushed
-    on."""
-    succ = dict(on_zero)
-    loop = next((s for s, t in on_zero if s == t), None)
-
-    def distance(s: int) -> int:
-        d = 0
-        while s != loop and s in succ:
-            s, d = succ[s], d + 1
-        return d
-
+def _zero_order(
+    bits: str, on_zero: list[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], int | None]:
+    """The live zero moves of every state but the loop state, in sweep order
+    (see `count_by_automaton`), and the loop state, None for 0^h."""
+    lead = len(bits) - len(bits.lstrip("0"))
+    loop = lead if lead < len(bits) else None
+    # ends[s]: the zeros that bits[:s] ends with
+    ends = list(itertools.accumulate(bits, lambda z, c: z + 1 if c == "0" else 0, initial=0))
     moves = [(s, t) for s, t in on_zero if s != loop]
-    moves.sort(key=lambda move: -distance(move[0]))
-    return moves, loop
+    return sorted(moves, key=lambda move: ends[move[0]]), loop
 
 
 def count_by_automaton(p: "Pattern | str", ones: int, zeros: int) -> int:
     """Avoider count by dynamic programming over the pattern's prefix
-    automaton, with the full-match state forbidden.  Polynomial in the
-    letter counts, so no size guard is needed.
+    automaton, with the full-match state forbidden.
 
     Only the live transitions enter the sweep: for each letter, the
     (state, next) pairs that do not complete a match, which
     `_live_transitions` builds in one pass.  The cells with i ones form row
     i, held as one list over the zero count per state, and every step
-    moves a whole list.  Within a row, the states are swept in decreasing
-    distance from where their zero moves end (`_zero_sweep`): each state's
-    finished list, shifted by one zero, is added to its zero successor's,
-    and the loop state, which a zero leaves in place, takes prefix sums.  The ones
-    are then moved into the next row a state list at a time.  Lists are
-    never changed in place, so a state with a single source shares its
-    list, and the all-zero list is never added.  The cost is
-    O(ones * zeros * live transitions) additions, each row's done by a few
-    list operations per state.
+    moves a whole list.  Within a row, each state's finished list, shifted
+    by one zero, is added to its zero successor's, and the loop state, the
+    pattern's leading-zero run, which a zero leaves in place, takes prefix
+    sums last (0^h has no loop state).  Let a state's key be the number of
+    zeros its prefix ends with.  A zero leads any other state either to
+    the loop state or to a state whose key is one more, so sweeping the
+    moves by their source's key (`_zero_order`) finishes each list before
+    it is pushed on.  The ones are then moved into the next row a state
+    list at a time.  Lists are never changed in place, so a state with a
+    single source shares its list, and the all-zero list is never added.
+    The setup is one pass over the pattern and a sort of its states by
+    key, O(len(p) log len(p)); the sweep is O(ones * zeros * live
+    transitions) additions, each row's done by a few list operations per
+    state.  So the cost is known from the sizes, and no guard is needed.
     """
     p = as_pattern(p)
     if ones < 0 or zeros < 0:
         raise ValueError("letter counts must be non-negative")
     h = len(p.bits)
     on_zero, on_one = _live_transitions(p.bits)
-    moves, loop = _zero_sweep(on_zero)
+    moves, loop = _zero_order(p.bits, on_zero)
     empty = [0] * (zeros + 1)
     # row[s][z]: words with i ones and z zeros that end in state s
     row = [empty] * h

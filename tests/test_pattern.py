@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wordavoid import pattern
 from wordavoid.pattern import (
     ENUMERATION_LIMIT,
     Pattern,
@@ -218,8 +219,45 @@ class TestAutomaton:
                 assert count_by_automaton(bits, 12, i) == table.entry(12, i), (bits, i)
                 assert count_by_automaton(bits, i, 12) == table.entry(i, 12), (bits, i)
 
+    def test_the_sweep_order_rests_on_trailing_zeros(self):
+        # every pattern of length 1-12: a zero leads any state but the loop
+        # state to the loop state or to one whose prefix ends in one more
+        # zero, so sweeping by that count finishes each list before its push
+        def key(bits, s):
+            return s - len(bits[:s].rstrip("0"))
+
+        every = ("".join(t) for h in range(1, 13) for t in itertools.product("01", repeat=h))
+        for bits in every:
+            on_zero, _ = pattern._live_transitions(bits)
+            lead = len(bits) - len(bits.lstrip("0"))
+            in_place = [s for s, t in on_zero if s == t]
+            assert in_place == ([] if lead == len(bits) else [lead]), bits
+            moves, loop = pattern._zero_order(bits, on_zero)
+            assert loop == (in_place[0] if in_place else None), bits
+            assert sorted(moves) == [(s, t) for s, t in on_zero if s != loop], bits
+            pushed: set[int] = set()
+            for s, t in moves:
+                assert t == loop or key(bits, t) == key(bits, s) + 1, (bits, s, t)
+                pushed.add(s)
+                assert t not in pushed, (bits, s, t)
+
+    @pytest.mark.parametrize("bits", [
+        "0" * 10000, "1" * 5000 + "0" * 5000, "10" * 5000, "1" * 10000, "0" * 9999 + "1",
+    ], ids=["0^10000", "1^5000 0^5000", "(10)^5000", "1^10000", "0^9999 1"])
+    def test_long_patterns_match_the_table(self, bits):
+        # a zero chain as long as the pattern's length cap in the CLI
+        table = avoider_table(bits, 12)
+        for n, k in ((0, 0), (3, 3), (0, 12), (12, 12)):
+            assert count_by_automaton(bits, n, k) == table.entry(n, k), (n, k)
+
 
 patterns = st.text(alphabet="01", min_size=1, max_size=7)
+# up to 6 alternating runs of 1-8 letters, so zero chains up to 8 deep
+run_patterns = st.builds(
+    lambda first, runs: "".join(str((first + i) % 2) * r for i, r in enumerate(runs)),
+    st.integers(0, 1),
+    st.lists(st.integers(1, 8), min_size=1, max_size=6),
+)
 
 
 class TestAgreementProperties:
@@ -230,6 +268,11 @@ class TestAgreementProperties:
         assert count_by_automaton(bits, n, k) == expected
         order = max(n, k, Pattern(bits).ones, Pattern(bits).zeros)
         assert avoider_table(bits, order).entry(n, k) == expected
+
+    @given(run_patterns, st.integers(0, 10), st.integers(0, 10))
+    @settings(max_examples=60)
+    def test_automaton_matches_table_on_runs(self, bits, n, k):
+        assert count_by_automaton(bits, n, k) == avoider_table(bits, 10).entry(n, k)
 
     @given(patterns)
     @settings(max_examples=30)
